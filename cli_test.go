@@ -1,7 +1,9 @@
 package hpnn_test
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -151,7 +154,8 @@ func accuracyLine(t *testing.T, out string) string {
 // TestCLIServe drives the network inference service end to end: train a
 // tiny model, start hpnn-serve on a TCP port, classify samples through the
 // public wire codec (valid, malformed and mis-shaped requests), then shut
-// the server down with SIGTERM and check the drain report.
+// the server down with SIGTERM and check the drain report. Its subtest
+// restarts the server repeatedly and signals it the moment it listens.
 func TestCLIServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test skipped in -short mode")
@@ -261,6 +265,58 @@ func TestCLIServe(t *testing.T) {
 	if !strings.Contains(got, "trusted device") || !strings.Contains(got, "served") ||
 		!strings.Contains(got, "latency p50") || !strings.Contains(got, "locked outputs") {
 		t.Fatalf("shutdown report unexpected:\n%s", got)
+	}
+
+	t.Run("SIGTERMAfterBanner", func(t *testing.T) {
+		for i := 0; i < 20; i++ {
+			signalAfterBanner(t, bin("hpnn-serve"), model, keyFile)
+		}
+	})
+}
+
+// signalAfterBanner starts hpnn-serve on an ephemeral port and sends
+// SIGTERM as soon as the listening banner is read — the earliest moment a
+// client can connect. The server must treat it as a graceful shutdown:
+// exit 0 after the drain report and the zeroization of its key device.
+func signalAfterBanner(t *testing.T, serveBin, model, keyFile string) {
+	t.Helper()
+	var stderr bytes.Buffer
+	srv := exec.Command(serveBin, "-model", model, "-key-file", keyFile, "-addr", "127.0.0.1:0", "-shards", "1")
+	srv.Stderr = &stderr
+	stdout, err := srv.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Process.Kill()
+
+	var out strings.Builder
+	r := bufio.NewReader(stdout)
+	for {
+		line, err := r.ReadString('\n')
+		out.WriteString(line)
+		if strings.HasPrefix(line, "serving 1 model(s) on ") {
+			break
+		}
+		if err != nil {
+			t.Fatalf("no listening banner: %v\n%s%s", err, out.String(), stderr.Bytes())
+		}
+	}
+	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := io.ReadAll(r)
+	out.Write(rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Wait(); err != nil {
+		t.Fatalf("SIGTERM after the banner: %v\n%s%s", err, out.String(), stderr.Bytes())
+	}
+	if got := out.String(); !strings.Contains(got, "drained in") || !strings.Contains(got, "zeroized 1 tenant device(s)") {
+		t.Fatalf("no drain report after SIGTERM:\n%s%s", got, stderr.Bytes())
 	}
 }
 

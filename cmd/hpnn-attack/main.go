@@ -117,7 +117,7 @@ func main() {
 		ThiefFrac: *alpha, ThiefSeed: *seed + 11, Init: init, AttackerSeed: *seed + 12,
 		Train: hpnn.TrainConfig{
 			Epochs: *epochs, BatchSize: 16, LR: *lr, Momentum: *momentum, Seed: *seed + 13,
-			Logf: log.Printf,
+			Hooks: hpnn.TrainHooks{Logf: log.Printf},
 		},
 		CheckpointPath: *ckptPath, Resume: *resume,
 	})

@@ -187,6 +187,11 @@ func main() {
 		}
 	}
 
+	// Catch the shutdown signals before clients can connect: a signal that
+	// arrives once the listener is up must drain and zeroize, not kill the
+	// process through the default handler.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
@@ -221,8 +226,6 @@ func main() {
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down: draining accepted requests")
 	start := time.Now() //hpnn:allow(determinism) wall-clock drain timing for the shutdown report

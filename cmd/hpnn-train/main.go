@@ -108,7 +108,7 @@ func main() {
 		Epochs: *epochs, BatchSize: *batch, LR: *lr, Momentum: *momentum, Seed: *seed + 3,
 		Optimizer: *optName, Schedule: *schedNm, WarmupEpochs: *warmup,
 		Replicas: *replicas, GradShards: *shards,
-		Logf: log.Printf,
+		Hooks: hpnn.TrainHooks{Logf: log.Printf},
 	}
 
 	// Resume a checkpointed run: the checkpoint restores the weights AND

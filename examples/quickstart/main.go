@@ -41,7 +41,7 @@ func main() {
 	res := hpnn.TrainLocked(model, key, sched,
 		ds.TrainX, ds.TrainY, ds.TestX, ds.TestY,
 		hpnn.TrainConfig{Epochs: 8, BatchSize: 32, LR: 0.02, Momentum: 0.9, Seed: 3,
-			Logf: log.Printf})
+			Hooks: hpnn.TrainHooks{Logf: log.Printf}})
 
 	ownerAcc := res.FinalTestAcc()
 	fmt.Printf("\nauthorized user (key on trusted hardware): %.2f%%\n", 100*ownerAcc)

@@ -131,17 +131,6 @@ type (
 	ZooRecord = modelio.Record
 )
 
-// Serving execution engines, selected by ServeConfig.Engine.
-const (
-	// ServeEngineBatched (the default) executes each flushed micro-batch
-	// as one call on the batched int8 tier — bitwise-identical to the
-	// golden path, several times faster (see results/BENCH_serve.json).
-	ServeEngineBatched = serve.EngineBatched
-	// ServeEngineGolden walks requests one at a time through the
-	// per-sample simulator, the bit-accurate reference engine.
-	ServeEngineGolden = serve.EngineGolden
-)
-
 // Architectures of the paper's evaluation.
 const (
 	CNN1     = core.CNN1

@@ -8,6 +8,7 @@ import (
 	"hpnn/internal/nn"
 	"hpnn/internal/rng"
 	"hpnn/internal/tensor"
+	"hpnn/internal/train"
 )
 
 // countLayers tallies layer kinds, descending into residual blocks.
@@ -208,10 +209,10 @@ func TestTrainOnEpochEarlyStop(t *testing.T) {
 	calls := 0
 	res := Train(m, ds.TrainX, ds.TrainY, ds.TestX, ds.TestY, TrainConfig{
 		Epochs: 10, BatchSize: 16, LR: 0.02,
-		OnEpoch: func(epoch int, r TrainResult) bool {
+		Hooks: train.Hooks{OnEpoch: func(info train.EpochInfo) bool {
 			calls++
-			return epoch < 2 // stop after the 3rd epoch
-		},
+			return info.Epoch < 2 // stop after the 3rd epoch
+		}},
 	})
 	if calls != 3 {
 		t.Fatalf("OnEpoch called %d times, want 3", calls)

@@ -10,6 +10,7 @@ import (
 	"hpnn/internal/rng"
 	"hpnn/internal/schedule"
 	"hpnn/internal/tensor"
+	"hpnn/internal/train"
 )
 
 // TestLockedNeuronCountsMatchTableI verifies that at native input sizes and
@@ -327,7 +328,7 @@ func TestTrainRecordsTrajectory(t *testing.T) {
 	var lines int
 	res := Train(m, ds.TrainX, ds.TrainY, ds.TestX, ds.TestY, TrainConfig{
 		Epochs: 3, BatchSize: 16, LR: 0.05,
-		Logf: func(string, ...any) { lines++ },
+		Hooks: train.Hooks{Logf: func(string, ...any) { lines++ }},
 	})
 	if len(res.EpochLoss) != 3 || len(res.TestAcc) != 3 {
 		t.Fatalf("trajectory lengths %d/%d, want 3/3", len(res.EpochLoss), len(res.TestAcc))

@@ -38,25 +38,15 @@ type TrainConfig struct {
 	// values disable clipping.
 	ClipNorm float64
 	Seed     uint64
-	// Logf receives one line per epoch when non-nil (legacy convenience;
-	// equivalent to Hooks.Logf).
-	Logf func(format string, args ...any)
-	// OnEpoch, when non-nil, runs after every epoch with the 0-based
-	// epoch index and the trajectory so far. Returning false stops
-	// training early (legacy convenience; Hooks.OnEpoch carries timing,
-	// throughput and checkpoint snapshots).
-	OnEpoch func(epoch int, r TrainResult) bool
-	// Hooks is the trainer's full observer bus: per-step timing,
-	// samples/sec, evaluation callbacks and resumable state snapshots for
-	// checkpointing (pair EpochInfo.Snapshot with modelio.SaveCheckpoint).
+	// Hooks is the trainer's observer bus: per-epoch log lines, per-step
+	// timing, samples/sec, evaluation callbacks and resumable state
+	// snapshots for checkpointing (pair EpochInfo.Snapshot with
+	// modelio.SaveCheckpoint).
 	Hooks train.Hooks
-	// GradAugment, when non-nil, runs between the backward pass and
-	// gradient clipping each step; it may add regularizer terms to the
-	// parameter gradients and returns the extra per-sample loss (the
-	// watermark embedding path).
-	GradAugment func() float64
-	// GradAugments is the generalized hook bus: every entry runs after
-	// GradAugment under the same contract (the trigger-set watermark path).
+	// GradAugments run in order between the backward pass and gradient
+	// clipping each step; each may add regularizer terms to the parameter
+	// gradients and returns the extra per-sample loss it contributed (the
+	// watermark embedding paths).
 	GradAugments []func() float64
 	// Replicas trains data-parallel with K model replicas; 0 keeps the
 	// sequential loop. The run is bitwise identical for any K (and resumes
@@ -140,30 +130,14 @@ func (r TrainResult) FinalTestAcc() float64 {
 	return r.TestAcc[len(r.TestAcc)-1]
 }
 
-// NewTrainer builds the unified training engine for m from cfg, with the
-// legacy Logf/OnEpoch fields merged into the hook bus. Most callers want
-// TrainChecked; the experiments and checkpointing CLIs use the trainer
-// directly when they need Snapshot access between epochs.
+// NewTrainer builds the unified training engine for m from cfg. Most
+// callers want TrainChecked; the experiments and checkpointing CLIs use the
+// trainer directly when they need Snapshot access between epochs.
 func NewTrainer(m *Model, cfg TrainConfig) (*train.Trainer, error) {
 	cfg = cfg.withDefaults()
 	sched, err := cfg.schedule()
 	if err != nil {
 		return nil, err
-	}
-	hooks := cfg.Hooks
-	if hooks.Logf == nil {
-		hooks.Logf = cfg.Logf
-	}
-	if legacy := cfg.OnEpoch; legacy != nil {
-		user := hooks.OnEpoch
-		hooks.OnEpoch = func(info train.EpochInfo) bool {
-			ok := true
-			if user != nil {
-				ok = user(info)
-			}
-			r := TrainResult{EpochLoss: info.Trajectory.EpochLoss, TestAcc: info.Trajectory.TestAcc}
-			return legacy(info.Epoch, r) && ok
-		}
 	}
 	return train.New(m.Net, train.Config{
 		Epochs:       cfg.Epochs,
@@ -175,8 +149,7 @@ func NewTrainer(m *Model, cfg TrainConfig) (*train.Trainer, error) {
 		Schedule:     sched,
 		ClipNorm:     cfg.ClipNorm,
 		Seed:         cfg.Seed,
-		Hooks:        hooks,
-		GradAugment:  cfg.GradAugment,
+		Hooks:        cfg.Hooks,
 		GradAugments: cfg.GradAugments,
 		Replicas:     cfg.Replicas,
 		GradShards:   cfg.GradShards,

@@ -9,6 +9,7 @@ import (
 	"hpnn/internal/keys"
 	"hpnn/internal/rng"
 	"hpnn/internal/schedule"
+	"hpnn/internal/train"
 )
 
 // victim bundles a trained locked model with everything the experiments
@@ -53,7 +54,7 @@ func ownerTrain(p Profile, logf Logf) core.TrainConfig {
 		LR:        p.LR,
 		Momentum:  p.Momentum,
 		Seed:      p.Seed + 7,
-		Logf:      logf,
+		Hooks:     train.Hooks{Logf: logf},
 	}
 }
 

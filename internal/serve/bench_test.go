@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hpnn/internal/core"
-	"hpnn/internal/lockscheme"
 	"hpnn/internal/tpu"
 )
 
@@ -70,45 +69,6 @@ func BenchmarkServeSerializedLoop(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
-}
-
-// BenchmarkServeEngines is the engine-comparison grid behind
-// results/BENCH_serve.json: for every registered lock scheme, batch-8
-// traffic through a convolutional model (CNN1 16×16 — compute-heavy enough
-// that kernel speed, not batcher overhead, dominates) on the golden
-// per-sample engine vs the batched int8 engine. The ratio per scheme is
-// the batched tier's speedup; the acceptance bar is ≥4× on the default
-// scheme. Engines answer bitwise-identically (see diff_test.go), so this
-// measures cost, not quality.
-func BenchmarkServeEngines(b *testing.B) {
-	const batch = 8
-	for si, schemeName := range lockscheme.Names() {
-		f := newSchemeFixture(b, schemeName, core.CNN1, 16, batch, 720+uint64(si))
-		for _, engine := range []string{EngineGolden, EngineBatched} {
-			b.Run("scheme="+schemeName+"/engine="+engine, func(b *testing.B) {
-				s := f.server(b, Config{
-					Shards:     runtime.GOMAXPROCS(0),
-					MaxBatch:   batch,
-					MaxWait:    200 * time.Microsecond,
-					QueueDepth: 1024,
-					Engine:     engine,
-				})
-				defer s.Close()
-				ctx := context.Background()
-				if _, err := s.PredictBatch(ctx, f.x); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.PredictBatch(ctx, f.x); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "samples/sec")
-			})
-		}
-	}
 }
 
 // BenchmarkDirectAccelerator is the no-service floor: raw PredictSample on

@@ -18,11 +18,13 @@ import (
 )
 
 // TestServeDifferentialRandomModels is the property-style half of the
-// differential harness: for every registered lock scheme, a spread of
-// architectures, and both execution engines, every class served through
-// the batcher must equal the single-call accelerator bit-for-bit. The
-// quantized path is fully deterministic, so any divergence — however the
-// batcher slices the traffic across shards — is a bug, not noise. Run
+// differential harness: for every registered lock scheme and a spread of
+// architectures, every class served through the batcher must equal the
+// single-call accelerator bit-for-bit, against two oracles — the golden
+// per-sample simulator (tpu.Predict) and one whole-input call on the
+// batched int8 tier (tpu.PredictBatch). The quantized path is fully
+// deterministic, so any divergence — however the batcher slices the
+// traffic into partial batches across shards — is a bug, not noise. Run
 // under -race.
 func TestServeDifferentialRandomModels(t *testing.T) {
 	cases := []struct {
@@ -38,11 +40,26 @@ func TestServeDifferentialRandomModels(t *testing.T) {
 		for ci, tc := range cases {
 			const n = 24
 			f := newSchemeFixture(t, schemeName, tc.arch, tc.hw, n, tc.seed+uint64(1000*si+100*ci))
-			for _, engine := range []string{EngineBatched, EngineGolden} {
-				t.Run(fmt.Sprintf("%s/%v-%d/%s", schemeName, tc.arch, tc.hw, engine), func(t *testing.T) {
+			scheme, err := lockscheme.Get(schemeName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := tpu.NewAcceleratorFor(scheme, tpu.DefaultConfig(), f.dev, f.sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batched, err := ref.PredictBatch(f.model, f.x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracles := []struct {
+				name string
+				want []int
+			}{{"golden", f.want}, {"batched", batched}}
+			for _, o := range oracles {
+				t.Run(fmt.Sprintf("%s/%v-%d/%s", schemeName, tc.arch, tc.hw, o.name), func(t *testing.T) {
 					s := f.server(t, Config{
-						Shards: 3, MaxBatch: 4, MaxWait: 100 * time.Microsecond,
-						QueueDepth: 256, Engine: engine,
+						Shards: 3, MaxBatch: 4, MaxWait: 100 * time.Microsecond, QueueDepth: 256,
 					})
 					defer s.Close()
 
@@ -64,9 +81,9 @@ func TestServeDifferentialRandomModels(t *testing.T) {
 						if errs[i] != nil {
 							t.Fatalf("sample %d: %v", i, errs[i])
 						}
-						if got[i] != f.want[i] {
-							t.Fatalf("sample %d: served class %d, single-call accelerator %d",
-								i, got[i], f.want[i])
+						if got[i] != o.want[i] {
+							t.Fatalf("sample %d: served class %d, %s oracle %d",
+								i, got[i], o.name, o.want[i])
 						}
 					}
 				})

@@ -54,7 +54,7 @@ const routeAttempts = 8
 // with default per-tenant settings and no memory budget.
 type RegistryConfig struct {
 	// Tenant is the serving configuration every tenant's Server is built
-	// with (shards, batch size, window, queue depth, engine).
+	// with (shards, batch size, window, queue depth).
 	Tenant Config
 	// MaxWorkspaceBytes bounds the summed activation-workspace footprint of
 	// resident tenants; exceeding it evicts least-recently-used tenants
@@ -232,7 +232,10 @@ func (r *Registry) tenant(model string) (*Tenant, error) {
 
 // resident returns the tenant's serving stack, compiling and sealing it
 // from the blob on first use (and after eviction). Concurrent first
-// requests for the same tenant compile once; the rest wait on mu.
+// requests for the same tenant compile once; the rest wait on mu. Once the
+// registry is closed it compiles nothing: Close marks the registry closed
+// before it evicts each tenant under mu, so a request that resolved its
+// tenant before Close cannot revive a server Close would never drain.
 func (t *Tenant) resident() (*Server, error) {
 	if s := t.srv.Load(); s != nil {
 		return s, nil
@@ -241,6 +244,10 @@ func (t *Tenant) resident() (*Server, error) {
 	if s := t.srv.Load(); s != nil {
 		t.mu.Unlock()
 		return s, nil
+	}
+	if t.reg.isClosed() {
+		t.mu.Unlock()
+		return nil, ErrClosed
 	}
 	srv, bytes, err := t.compileLocked(t.blob)
 	if err != nil {

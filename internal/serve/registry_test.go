@@ -593,6 +593,28 @@ func TestRegistryCloseDuringLoad(t *testing.T) {
 	reg.Close() // idempotent
 }
 
+// TestRegistryNoCompileAfterClose: a request that resolved its tenant
+// before Close and reaches it after Close's drain must get ErrClosed, not
+// compile a fresh server that nothing would ever drain or release.
+func TestRegistryNoCompileAfterClose(t *testing.T) {
+	f := newFixture(t, core.MLP, 8, 1, 2450)
+	reg := NewRegistry(tpu.DefaultConfig(), registryConfig())
+	if err := reg.Register("a", blobFor(t, f.model), f.dev, f.sched); err != nil {
+		t.Fatal(err)
+	}
+	ten, err := reg.tenant("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+	if _, err := ten.resident(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("compile after Close returned %v, want ErrClosed", err)
+	}
+	if ten.srv.Load() != nil || reg.Counters().Compiles != 0 {
+		t.Fatal("tenant compiled after Close")
+	}
+}
+
 // TestRegistryRegisterValidation pins the registration boundary: junk
 // blobs, empty and oversized names, nil schedules and duplicates all fail.
 func TestRegistryRegisterValidation(t *testing.T) {

@@ -56,20 +56,6 @@ var ErrClosed = errors.New("serve: server closed")
 // should back off and resubmit.
 var ErrRetry = errors.New("serve: tenant swapping, retry")
 
-// Execution engines selectable via Config.Engine.
-const (
-	// EngineBatched executes each coalesced micro-batch in one call on the
-	// accelerator's batched int8 tier (tpu.PredictBatchInto): quantization,
-	// im2col and lock lowering amortize across the batch on a packed GEMM
-	// kernel. Bitwise-equal to the golden engine, and the default.
-	EngineBatched = "batched"
-	// EngineGolden executes requests one at a time through the per-sample
-	// simulator path (tpu.PredictSample). It is the golden reference the
-	// batched tier is differentially pinned against, kept as a serving
-	// backend for diff tests and benchmark baselines.
-	EngineGolden = "golden"
-)
-
 // Config tunes the batching service. The zero value selects sensible
 // defaults for every field.
 type Config struct {
@@ -89,10 +75,6 @@ type Config struct {
 	// lockscheme). Empty selects the model's own scheme stamp, so sealed
 	// plans always carry the scheme the model was published under.
 	Scheme string
-	// Engine selects the execution engine: EngineBatched (default) runs
-	// whole micro-batches on the int8 fast path, EngineGolden runs the
-	// per-sample simulator. Answers are bitwise-identical either way.
-	Engine string
 
 	// testBatchHook, when set, runs on the worker goroutine before each
 	// dispatched batch. Tests use it to stall the pipeline deterministically
@@ -116,9 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch * c.Shards
 	}
-	if c.Engine == "" {
-		c.Engine = EngineBatched
-	}
 	return c
 }
 
@@ -139,14 +118,12 @@ type request struct {
 }
 
 // shard is one worker's private execution state: a full accelerator (plan,
-// workspace, quantization caches) plus a reusable sample-view header and —
-// for the batched engine — pre-sized gather buffers so dispatching a
-// micro-batch performs no allocation.
+// workspace, quantization caches) plus a reusable batch-view header and
+// pre-sized gather buffers, so dispatching a micro-batch performs no
+// allocation.
 type shard struct {
-	acc  *tpu.Accelerator
-	view tensor.Tensor
-
-	bview tensor.Tensor
+	acc   *tpu.Accelerator
+	view  tensor.Tensor
 	live  []*request // requests gathered into the current dispatch
 	batch []float64  // [MaxBatch·feat] contiguous sample gather buffer
 	preds []int      // [MaxBatch] per-dispatch predictions
@@ -193,9 +170,6 @@ func New(m *core.Model, acfg tpu.Config, dev *keys.Device, sched *schedule.Sched
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if cfg.Engine != EngineBatched && cfg.Engine != EngineGolden {
-		return nil, fmt.Errorf("serve: unknown engine %q (want %q or %q)", cfg.Engine, EngineBatched, EngineGolden)
-	}
 	s := &Server{
 		cfg:   cfg,
 		model: m,
@@ -209,11 +183,9 @@ func New(m *core.Model, acfg tpu.Config, dev *keys.Device, sched *schedule.Sched
 		b := make([]*request, 0, cfg.MaxBatch)
 		return &b
 	}
-	// Warm every buffer a shard will touch in steady state, then seal: the
-	// golden engine warms the per-sample path, the batched engine warms the
-	// batch path at its maximum batch size (smaller partial batches reshape
-	// within the sealed capacity).
-	warm := tensor.New(s.c, s.h, s.w)
+	// Warm every buffer a shard will touch in steady state at the maximum
+	// batch size, then seal: smaller partial batches reshape within the
+	// sealed capacity.
 	warmBatch := tensor.New(cfg.MaxBatch, s.c, s.h, s.w)
 	for i := 0; i < cfg.Shards; i++ {
 		acc, err := tpu.NewAcceleratorFor(scheme, acfg, dev, sched)
@@ -223,18 +195,14 @@ func New(m *core.Model, acfg tpu.Config, dev *keys.Device, sched *schedule.Sched
 		if err := acc.Compile(m); err != nil {
 			return nil, err
 		}
-		sh := &shard{acc: acc}
-		if cfg.Engine == EngineBatched {
-			sh.live = make([]*request, cfg.MaxBatch)
-			sh.batch = make([]float64, cfg.MaxBatch*s.feat)
-			sh.preds = make([]int, cfg.MaxBatch)
-			if err := acc.PredictBatchInto(sh.preds, m, warmBatch); err != nil {
-				return nil, fmt.Errorf("serve: shard %d warmup: %w", i, err)
-			}
-		} else {
-			if _, err := acc.PredictSample(m, warm); err != nil {
-				return nil, fmt.Errorf("serve: shard %d warmup: %w", i, err)
-			}
+		sh := &shard{
+			acc:   acc,
+			live:  make([]*request, cfg.MaxBatch),
+			batch: make([]float64, cfg.MaxBatch*s.feat),
+			preds: make([]int, cfg.MaxBatch),
+		}
+		if err := acc.PredictBatchInto(sh.preds, m, warmBatch); err != nil {
+			return nil, fmt.Errorf("serve: shard %d warmup: %w", i, err)
 		}
 		acc.Seal()
 		acc.ResetStats() // warmup activity is not served traffic
@@ -432,48 +400,34 @@ func (s *Server) batchLoop() {
 
 // workerLoop executes dispatched batches on one shard. Requests whose
 // context died while queued are completed with the context error without
-// touching the hardware. The batched engine gathers the survivors into the
-// shard's contiguous buffer and runs them as one call on the int8 tier;
-// the golden engine runs them one at a time through the simulator.
+// touching the hardware; the survivors are gathered into the shard's
+// contiguous buffer and run as one call on the int8 tier.
 func (s *Server) workerLoop(sh *shard) {
 	defer s.wg.Done()
-	golden := s.cfg.Engine == EngineGolden
 	for b := range s.batches {
 		if s.cfg.testBatchHook != nil {
 			s.cfg.testBatchHook()
 		}
-		if golden {
-			for _, req := range b {
-				if err := req.ctx.Err(); err != nil {
-					s.finish(req, -1, err)
-					continue
-				}
-				x := tensor.ViewInto(&sh.view, req.data, s.c, s.h, s.w)
-				class, err := sh.acc.PredictSample(s.model, x)
-				s.finish(req, class, err)
+		k := 0
+		for _, req := range b {
+			if err := req.ctx.Err(); err != nil {
+				s.finish(req, -1, err)
+				continue
 			}
-		} else {
-			k := 0
-			for _, req := range b {
-				if err := req.ctx.Err(); err != nil {
-					s.finish(req, -1, err)
-					continue
+			copy(sh.batch[k*s.feat:(k+1)*s.feat], req.data)
+			sh.live[k] = req
+			k++
+		}
+		if k > 0 {
+			x := tensor.ViewInto(&sh.view, sh.batch[:k*s.feat], k, s.c, s.h, s.w)
+			err := sh.acc.PredictBatchInto(sh.preds[:k], s.model, x)
+			for i := 0; i < k; i++ {
+				if err != nil {
+					s.finish(sh.live[i], -1, err)
+				} else {
+					s.finish(sh.live[i], sh.preds[i], nil)
 				}
-				copy(sh.batch[k*s.feat:(k+1)*s.feat], req.data)
-				sh.live[k] = req
-				k++
-			}
-			if k > 0 {
-				x := tensor.ViewInto(&sh.bview, sh.batch[:k*s.feat], k, s.c, s.h, s.w)
-				err := sh.acc.PredictBatchInto(sh.preds[:k], s.model, x)
-				for i := 0; i < k; i++ {
-					if err != nil {
-						s.finish(sh.live[i], -1, err)
-					} else {
-						s.finish(sh.live[i], sh.preds[i], nil)
-					}
-					sh.live[i] = nil
-				}
+				sh.live[i] = nil
 			}
 		}
 		b = b[:0]

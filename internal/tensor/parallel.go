@@ -76,11 +76,17 @@ type workerPool struct {
 
 var pool workerPool
 
-// kargsScratch recycles KernelArgs copies for run's serial fallback. Passing
+// kargsFree recycles KernelArgs copies for run's serial fallback. Passing
 // the caller's pointer straight to kfn would leak it, forcing every
 // &KernelArgs{...} call-site literal onto the heap even when the parallel
-// path is taken; copying into pooled scratch keeps dispatch allocation-free.
-var kargsScratch = sync.Pool{New: func() any { return new(KernelArgs) }}
+// path is taken; copying into recycled scratch keeps dispatch
+// allocation-free. A mutex-guarded LIFO freelist for the same reason as
+// gemmFree: sync.Pool drops items randomly under the race detector, which
+// makes the zero-alloc pins flaky.
+var kargsFree struct {
+	sync.Mutex
+	list []*KernelArgs
+}
 
 // ensureWorkers grows the background worker set to at least k goroutines.
 // Workers idle on their wake channel and are never torn down; lowering
@@ -152,13 +158,23 @@ func (p *workerPool) run(n int, fn func(int), cfn func(any, int), ctx any, kfn f
 				cfn(ctx, i)
 			}
 		default:
-			a := kargsScratch.Get().(*KernelArgs)
+			kargsFree.Lock()
+			var a *KernelArgs
+			if k := len(kargsFree.list); k > 0 {
+				a = kargsFree.list[k-1]
+				kargsFree.list = kargsFree.list[:k-1]
+			} else {
+				a = new(KernelArgs) //hpnn:allow(noalloc) freelist growth to the peak concurrent-fallback count, then recycled forever
+			}
+			kargsFree.Unlock()
 			*a = *args
 			for i := 0; i < n; i++ {
 				kfn(a, i)
 			}
 			*a = KernelArgs{}
-			kargsScratch.Put(a)
+			kargsFree.Lock()
+			kargsFree.list = append(kargsFree.list, a) //hpnn:allow(noalloc) freelist push; capacity reaches the concurrency peak and stays
+			kargsFree.Unlock()
 		}
 		return
 	}

@@ -54,17 +54,13 @@ type Config struct {
 	Seed uint64
 	// Hooks is the observer bus; all fields are optional.
 	Hooks Hooks
-	// GradAugment, when non-nil, runs after the backward pass and before
-	// gradient clipping on every step. It may add regularizer terms to the
-	// parameter gradients in place (the watermark embedding path) and
+	// GradAugments run in order after the backward pass and before
+	// gradient clipping on every step. Each may add regularizer terms to
+	// the parameter gradients in place (the watermark embedding paths) and
 	// returns the extra per-sample loss it contributed, which the Trainer
-	// folds into the reported step and epoch losses.
-	GradAugment func() float64
-	// GradAugments is the generalized hook bus: every entry runs after
-	// GradAugment at the same point in the step, under the same contract.
-	// In data-parallel runs the hooks execute on the master network after
-	// the reduced gradient has landed, so they compose with any replica
-	// count (the trigger-set watermark rides here).
+	// folds into the reported step and epoch losses. In data-parallel runs
+	// the hooks execute on the master network after the reduced gradient
+	// has landed, so they compose with any replica count.
 	GradAugments []func() float64
 
 	// Replicas selects data-parallel training with K model replicas; 0 (or
@@ -382,7 +378,7 @@ func (t *Trainer) Run(x *tensor.Tensor, y []int, eval func() float64) (Result, e
 }
 
 // step runs one forward/loss/backward/clip/update cycle and returns the
-// mean batch loss (including any GradAugment contribution). It is the
+// mean batch loss (including any GradAugments contribution). It is the
 // only place in the codebase that advances model weights.
 func (t *Trainer) step(b dataset.Batch, epoch, stepIdx int, lr float64) float64 {
 	timed := t.cfg.Hooks.OnStep != nil
@@ -399,9 +395,6 @@ func (t *Trainer) step(b dataset.Batch, epoch, stepIdx int, lr float64) float64 
 		l, g = t.loss.LossInto(t.gradBuf, out, b.Y)
 		t.gradBuf = g
 		t.net.Backward(g)
-	}
-	if t.cfg.GradAugment != nil {
-		l += t.cfg.GradAugment()
 	}
 	for _, h := range t.cfg.GradAugments {
 		l += h()

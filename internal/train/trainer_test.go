@@ -208,7 +208,7 @@ func TestGradAugmentLossAccounting(t *testing.T) {
 		cfg := Config{Epochs: 1, BatchSize: 8, LR: 0.0, Seed: 1, ClipNorm: -1}
 		cfg.LR = 1e-12 // effectively frozen weights so losses align
 		if extra != 0 {
-			cfg.GradAugment = func() float64 { return extra }
+			cfg.GradAugments = []func() float64{func() float64 { return extra }}
 		}
 		tr, err := New(blobNet(7), cfg)
 		if err != nil {

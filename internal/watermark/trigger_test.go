@@ -103,8 +103,9 @@ func TestTriggerBitwiseAcrossK(t *testing.T) {
 }
 
 // TestTriggerComposesWithProjection: both watermarking methods install at
-// once — Uchida on the legacy GradAugment slot, the trigger set on the
-// hook bus — and both must be recoverable from the one trained model.
+// once — TrainEmbedded prepends the Uchida regularizer to a config that
+// already carries the trigger-set hook — and both must be recoverable from
+// the one trained model.
 func TestTriggerComposesWithProjection(t *testing.T) {
 	ds := triggerData(t)
 	m := core.MustModel(core.Config{Arch: core.CNN1, InC: 1, InH: 16, InW: 16, Seed: 191})
@@ -116,15 +117,10 @@ func TestTriggerComposesWithProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	carrier := m.Net.Params()[wm.cfg.ParamIndex]
-	_, err = core.TrainChecked(m, ds.TrainX, ds.TrainY, ds.TestX, ds.TestY, core.TrainConfig{
+	TrainEmbedded(m, wm, ds.TrainX, ds.TrainY, ds.TestX, ds.TestY, core.TrainConfig{
 		Epochs: 8, BatchSize: 32, LR: 0.02, Momentum: 0.9, Seed: 194,
-		GradAugment:  func() float64 { return wm.cfg.Strength * wm.regularize(carrier) },
 		GradAugments: []func() float64{ts.Hook(m)},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if ok, ber, err := wm.Detected(m); err != nil || !ok {
 		t.Fatalf("projection watermark lost under composition (BER %.3f, err %v)", ber, err)
 	}

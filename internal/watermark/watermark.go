@@ -178,8 +178,10 @@ func (w *Mark) Detected(m *core.Model) (bool, float64, error) {
 // (intentional, seeded) watermark-curve change.
 func TrainEmbedded(m *core.Model, w *Mark, trainX *tensor.Tensor, trainY []int, testX *tensor.Tensor, testY []int, cfg core.TrainConfig) core.TrainResult {
 	carrier := m.Net.Params()[w.cfg.ParamIndex]
-	cfg.GradAugment = func() float64 {
+	// Prepended: the regularizer runs before the caller's hooks, so their
+	// gradient contributions accumulate in a fixed order.
+	cfg.GradAugments = append([]func() float64{func() float64 {
 		return w.cfg.Strength * w.regularize(carrier)
-	}
+	}}, cfg.GradAugments...)
 	return core.Train(m, trainX, trainY, testX, testY, cfg)
 }

@@ -1,48 +1,32 @@
 #!/bin/sh
-# Serve throughput tracker, two grids into results/BENCH_serve.json:
-#
-#   1. Engine comparison (BenchmarkServeEngines): batch-8 CNN1 traffic
-#      through the golden per-sample engine vs the batched int8 engine, for
-#      every registered lock scheme. The engines answer bitwise-identically
-#      (pinned by the serve differential suite), so the batched/golden ratio
-#      is pure cost: what folding the lock into the batched kernels buys.
-#      The acceptance bar tracked in EXPERIMENTS.md is >=4x on the default
-#      scheme.
-#   2. Multi-tenant registry (BenchmarkRegistryMultiModel / ColdCompile /
-#      SwapBlackout): per-model throughput with one tenant per scheme
-#      behind the routing registry, the cold-compile latency an evicted
-#      tenant pays on its next hit, and the hot-swap numbers — Deploy
-#      latency, worst single-request stall across swaps (blackout), and
-#      the failed-request count, whose acceptance target is exactly 0.
+# Multi-tenant serve tracker into results/BENCH_serve.json
+# (BenchmarkRegistryMultiModel / ColdCompile / SwapBlackout): per-model
+# throughput with one CNN1 16x16 tenant per lock scheme behind the routing
+# registry at batch 8, the cold-compile latency an evicted tenant pays on
+# its next hit, and the hot-swap numbers — Deploy latency, worst
+# single-request stall across swaps (blackout), and the failed-request
+# count, whose acceptance target is exactly 0. The file records the CPU
+# count and benchtime it was measured with.
 #
 # BENCHTIME=2s scripts/bench_serve.sh   # longer runs for stable numbers
 set -eu
 cd "$(dirname "$0")/.."
 
 benchtime="${BENCHTIME:-1s}"
+nproc=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 out=results/BENCH_serve.json
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkServeEngines$|BenchmarkRegistryMultiModel$|BenchmarkRegistryColdCompile$|BenchmarkRegistrySwapBlackout$' \
+	-bench 'BenchmarkRegistryMultiModel$|BenchmarkRegistryColdCompile$|BenchmarkRegistrySwapBlackout$' \
 	-benchtime "$benchtime" ./internal/serve/ | tee "$tmp"
 
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v benchtime="$benchtime" '
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v benchtime="$benchtime" -v nproc="$nproc" '
 function metric(name,    i) {
 	for (i = 2; i <= NF; i++)
 		if ($i == name) return $(i - 1)
 	return 0
-}
-/^BenchmarkServeEngines\// {
-	name = $1
-	sub(/-[0-9]+$/, "", name)
-	sub(/^BenchmarkServeEngines\//, "", name)
-	split(name, part, "/")
-	scheme = part[1]; sub(/^scheme=/, "", scheme)
-	engine = part[2]; sub(/^engine=/, "", engine)
-	rate[scheme "," engine] = metric("samples/sec")
-	if (!(scheme in seen)) { seen[scheme] = 1; order[++n] = scheme }
 }
 /^BenchmarkRegistryMultiModel\// {
 	name = $1
@@ -61,22 +45,9 @@ END {
 	printf "{\n"
 	printf "  \"generated\": \"%s\",\n", date
 	printf "  \"benchtime\": \"%s\",\n", benchtime
+	printf "  \"nproc\": %d,\n", nproc
 	printf "  \"model\": \"CNN1 16x16\",\n"
 	printf "  \"batch\": 8,\n"
-	printf "  \"samples_per_sec\": {\n"
-	for (i = 1; i <= n; i++) {
-		s = order[i]
-		printf "    \"%s\": {\"golden\": %s, \"batched\": %s}%s\n",
-			s, rate[s ",golden"], rate[s ",batched"], (i < n ? "," : "")
-	}
-	printf "  },\n"
-	printf "  \"speedup_batched_over_golden\": {\n"
-	for (i = 1; i <= n; i++) {
-		s = order[i]
-		printf "    \"%s\": %.2f%s\n",
-			s, rate[s ",batched"] / rate[s ",golden"], (i < n ? "," : "")
-	}
-	printf "  },\n"
 	printf "  \"multi_tenant\": {\n"
 	printf "    \"samples_per_sec\": {\n"
 	for (i = 1; i <= mn; i++) {

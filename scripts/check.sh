@@ -8,6 +8,10 @@ set -eu
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# The benchmark is its own module (_perfbench/, outside ./...): compile and
+# unit-test it here so an internal API change it depends on fails this gate
+# instead of the next benchmark run.
+(cd _perfbench && go vet . && go test .)
 # The in-tree analyzer (DESIGN.md §11, §16): zero-alloc, determinism, and
 # concurrency invariants as whole-module structural checks, plus the
 # keyflow taint check (default-on) proving key material never reaches a
