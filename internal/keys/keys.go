@@ -321,22 +321,10 @@ func (r *Ring) Device(model string) (*Device, bool) {
 	return d, ok
 }
 
-// Unbind releases model's binding, freeing its device for reuse.
-func (r *Ring) Unbind(model string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if d, ok := r.byModel[model]; ok {
-		if d != nil {
-			delete(r.owner, d)
-		}
-		delete(r.byModel, model)
-	}
-}
-
-// Zeroize unbinds model and wipes its device's sealed key — the terminal
-// form of Unbind for tenants that are gone for good (registry shutdown,
-// hpnn-serve process exit). Unlike Unbind, the device cannot be rebound
-// usefully afterwards: it answers like a revoked license.
+// Zeroize unbinds model and wipes its device's sealed key, for tenants
+// that are gone for good (registry shutdown, hpnn-serve process exit). The
+// device cannot be rebound usefully afterwards: it answers like a revoked
+// license.
 func (r *Ring) Zeroize(model string) {
 	r.mu.Lock()
 	d, ok := r.byModel[model]

@@ -259,14 +259,6 @@ func TestRingOneDeviceOneModel(t *testing.T) {
 			t.Fatalf("ring listing not sorted: %v", models)
 		}
 	}
-	// Unbind releases the device for a new tenant.
-	ring.Unbind("alpha")
-	if _, ok := ring.Device("alpha"); ok {
-		t.Fatal("unbound model still bound")
-	}
-	if err := ring.Bind("gamma", devA); err != nil {
-		t.Fatalf("device not released on unbind: %v", err)
-	}
 }
 
 // TestDeviceZeroize: wiping a device zeroes the sealed key's backing
@@ -320,9 +312,8 @@ func TestDeviceZeroize(t *testing.T) {
 	}
 }
 
-// TestRingZeroize: Ring.Zeroize is the terminal Unbind — the binding is
-// gone and the device's key storage is wiped, while plain Unbind leaves
-// the device intact for rebinding.
+// TestRingZeroize: after Ring.Zeroize the binding is gone and the
+// device's key storage is wiped, while other tenants' devices are intact.
 func TestRingZeroize(t *testing.T) {
 	r := rng.New(11)
 	devA := NewDevice("a", Generate(r))

@@ -56,10 +56,12 @@ type RegistryConfig struct {
 	// Tenant is the serving configuration every tenant's Server is built
 	// with (shards, batch size, window, queue depth).
 	Tenant Config
-	// MaxWorkspaceBytes bounds the summed activation-workspace footprint of
-	// resident tenants; exceeding it evicts least-recently-used tenants
-	// (drain + release). 0 means unbudgeted. The newest tenant is never
-	// evicted, so one oversized model still serves.
+	// MaxWorkspaceBytes bounds the summed accelerator-workspace footprint
+	// of resident tenants — every shard's activation buffers plus its
+	// float64 weight codes for the batched tier; exceeding it evicts
+	// least-recently-used tenants (drain + release). 0 means unbudgeted.
+	// The newest tenant is never evicted, so one oversized model still
+	// serves.
 	MaxWorkspaceBytes int
 	// DefaultModel is where v1 frames and empty model IDs route. Empty
 	// selects the sole registered tenant when there is exactly one.
@@ -486,22 +488,6 @@ func (r *Registry) ETag(name string) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.etag
-}
-
-// Remove drains, releases and deletes a tenant, unbinding its key device.
-func (r *Registry) Remove(name string) error {
-	r.mu.Lock()
-	t, ok := r.tenants[name]
-	if ok {
-		delete(r.tenants, name)
-		r.ring.Unbind(name)
-	}
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("serve: unknown model %q", name)
-	}
-	t.evict()
-	return nil
 }
 
 // Names lists the registered model IDs, sorted.

@@ -215,13 +215,6 @@ func TestRegistryKeyIsolation(t *testing.T) {
 	if err := reg.Register("d", blobFor(t, i.model), nil, i.sched); err != nil {
 		t.Fatal(err)
 	}
-	// Removing a tenant releases its device for rebinding.
-	if err := reg.Remove("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register("a2", blobFor(t, f.model), f.dev, f.sched); err != nil {
-		t.Fatalf("device not released on Remove: %v", err)
-	}
 }
 
 // TestRegistryBudgetEviction exercises the LRU under a budget that fits
@@ -408,20 +401,18 @@ func TestRegistryHotSwapBitwiseSplit(t *testing.T) {
 	}
 	// Deploying a non-resident tenant is a pure blob update: no compile until
 	// the next hit, which then serves the newest version.
-	if err := reg.Remove("m"); err != nil {
+	cold := NewRegistry(tpu.DefaultConfig(), registryConfig())
+	defer cold.Close()
+	if err := cold.Register("m", sf.blob1, sf.dev, sf.sched); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register("m2", sf.blob1, sf.dev, sf.sched); err != nil {
+	if err := cold.Deploy("m", sf.blob2); err != nil {
 		t.Fatal(err)
 	}
-	before := reg.Counters().Compiles
-	if err := reg.Deploy("m2", sf.blob2); err != nil {
-		t.Fatal(err)
+	if got := cold.Counters().Compiles; got != 0 {
+		t.Fatalf("deploy to a non-resident tenant compiled eagerly (%d compiles)", got)
 	}
-	if got := reg.Counters().Compiles; got != before {
-		t.Fatalf("deploy to a non-resident tenant compiled eagerly (%d → %d)", before, got)
-	}
-	got, err := reg.Predict(ctx, "m2", sf.sample(0))
+	got, err := cold.Predict(ctx, "m", sf.sample(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,9 +640,6 @@ func TestRegistryRegisterValidation(t *testing.T) {
 	}
 	if err := reg.Deploy("m", []byte("junk")); err == nil {
 		t.Fatal("deploy of a junk blob accepted")
-	}
-	if err := reg.Remove("ghost"); err == nil {
-		t.Fatal("remove of an unregistered tenant accepted")
 	}
 	// The registered blob is a defensive copy: mutating the caller's slice
 	// must not corrupt the tenant.

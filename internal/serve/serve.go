@@ -18,6 +18,8 @@
 //     each shard's workspace is sealed after warmup to enforce it.
 //   - Results return over a per-request buffered channel; callers select
 //     on it against their context, so cancellation never blocks a shard.
+//     A per-request claim decides whether the shard or a cancelled caller
+//     owns the sample, so no shard reads it after Predict returns.
 //
 // Backpressure is a bounded queue: when it is full, Predict fails fast
 // with ErrOverloaded rather than queueing unbounded work. Close drains
@@ -110,12 +112,25 @@ type response struct {
 // request is one in-flight Predict call. The done channel is buffered so a
 // shard can always complete a request without blocking, even when the
 // caller has already abandoned it via context cancellation.
+//
+// claim decides who owns data once the request is queued: a shard moves
+// it from claimQueued to claimRunning before it reads data, a cancelled
+// caller moves it from claimQueued to claimAbandoned before it returns.
+// Exactly one of them wins, so a shard never reads the sample of a caller
+// that has already returned.
 type request struct {
 	ctx   context.Context
 	data  []float64 // the sample's backing values, valid until completion
 	start time.Time
 	done  chan response
+	claim atomic.Int32
 }
+
+const (
+	claimQueued int32 = iota
+	claimRunning
+	claimAbandoned
+)
 
 // shard is one worker's private execution state: a full accelerator (plan,
 // workspace, quantization caches) plus a reusable batch-view header and
@@ -248,6 +263,7 @@ func (s *Server) getReq(ctx context.Context, data []float64) *request {
 	req.ctx = ctx
 	req.data = data
 	req.start = time.Now()
+	req.claim.Store(claimQueued)
 	return req
 }
 
@@ -263,8 +279,9 @@ func (s *Server) putReq(req *request) {
 // Predict classifies one sample x ([C, H, W], matching the model's input)
 // on the locked hardware, blocking until a shard completes it, the context
 // is done, or the server sheds it. x.Data must stay untouched until Predict
-// returns. The error is ErrOverloaded when the queue is full, ErrClosed
-// after Close, or the context's error on cancellation.
+// returns; after that no shard reads it. The error is ErrOverloaded when
+// the queue is full, ErrClosed after Close, or the context's error on
+// cancellation.
 func (s *Server) Predict(ctx context.Context, x *tensor.Tensor) (int, error) {
 	if err := s.checkSample(x); err != nil {
 		return -1, err
@@ -274,18 +291,34 @@ func (s *Server) Predict(ctx context.Context, x *tensor.Tensor) (int, error) {
 		s.putReq(req)
 		return -1, err
 	}
-	select {
-	case r := <-req.done:
-		s.putReq(req)
-		if r.err != nil {
-			return -1, r.err
-		}
-		return r.class, nil
-	case <-ctx.Done():
-		// In flight: the shard completes into the buffered channel and the
-		// request object is left to the garbage collector.
+	r, ok := s.await(ctx, req)
+	if !ok {
 		return -1, ctx.Err()
 	}
+	if r.err != nil {
+		return -1, r.err
+	}
+	return r.class, nil
+}
+
+// await waits for req's response. When ctx ends first and no shard has
+// claimed the request, the caller abandons it (ok false): the shard will
+// complete it into the buffered channel without reading data, and the
+// request object is left to the garbage collector (see putReq). When a
+// shard has already claimed it, the shard may be reading data, so await
+// waits for its answer — at most one batch. Either way no shard touches
+// req.data once await returns. Answered requests are recycled.
+func (s *Server) await(ctx context.Context, req *request) (r response, ok bool) {
+	select {
+	case r = <-req.done:
+	case <-ctx.Done():
+		if req.claim.CompareAndSwap(claimQueued, claimAbandoned) {
+			return response{}, false
+		}
+		r = <-req.done
+	}
+	s.putReq(req)
+	return r, true
 }
 
 // PredictBatch classifies a batch x ([N, C, H, W]) by submitting every
@@ -310,18 +343,13 @@ func (s *Server) PredictBatch(ctx context.Context, x *tensor.Tensor) ([]int, err
 	}
 	out := make([]int, len(reqs))
 	for i, req := range reqs {
-		select {
-		case r := <-req.done:
-			out[i] = r.class
-			if r.err != nil && firstErr == nil {
-				firstErr = r.err
-			}
-			s.putReq(req)
-		case <-ctx.Done():
-			if firstErr == nil {
-				firstErr = ctx.Err()
-			}
-			// Abandoned in flight; not recycled (see putReq).
+		r, ok := s.await(ctx, req)
+		if !ok {
+			r.err = ctx.Err()
+		}
+		out[i] = r.class
+		if r.err != nil && firstErr == nil {
+			firstErr = r.err
 		}
 	}
 	if firstErr != nil {
@@ -399,9 +427,10 @@ func (s *Server) batchLoop() {
 }
 
 // workerLoop executes dispatched batches on one shard. Requests whose
-// context died while queued are completed with the context error without
-// touching the hardware; the survivors are gathered into the shard's
-// contiguous buffer and run as one call on the int8 tier.
+// context died while queued, or whose caller already abandoned them, are
+// completed with the context error without touching the hardware or their
+// data; the survivors are claimed, gathered into the shard's contiguous
+// buffer and run as one call on the int8 tier.
 func (s *Server) workerLoop(sh *shard) {
 	defer s.wg.Done()
 	for b := range s.batches {
@@ -410,8 +439,10 @@ func (s *Server) workerLoop(sh *shard) {
 		}
 		k := 0
 		for _, req := range b {
-			if err := req.ctx.Err(); err != nil {
-				s.finish(req, -1, err)
+			// A failed claim means the caller abandoned the request after
+			// its context ended, so ctx.Err is non-nil on both branches.
+			if req.ctx.Err() != nil || !req.claim.CompareAndSwap(claimQueued, claimRunning) {
+				s.finish(req, -1, req.ctx.Err())
 				continue
 			}
 			copy(sh.batch[k*s.feat:(k+1)*s.feat], req.data)
@@ -486,8 +517,8 @@ func (s *Server) HardwareStats() tpu.Stats {
 	return total
 }
 
-// WorkspaceBytes reports the summed activation-workspace footprint of all
-// shards — the serving memory cost beyond the model weights.
+// WorkspaceBytes reports the summed workspace footprint of all shards —
+// activation buffers plus the batched tier's float64 weight codes.
 func (s *Server) WorkspaceBytes() int {
 	total := 0
 	for _, sh := range s.shards {

@@ -328,6 +328,71 @@ func TestServeQueuedCancellation(t *testing.T) {
 	}
 }
 
+// TestServeCancelledBufferReuse pins the buffer contract under
+// cancellation: once Predict has returned, no shard reads the caller's
+// sample, so the caller may overwrite it at once. Four goroutines each
+// cancel their request after a short spin and rewrite their buffer after
+// every Predict. A shard still copying the buffer is a data race, which
+// -race reports (scripts/check.sh runs it -count=3); answers that do come
+// back must still be the reference class.
+func TestServeCancelledBufferReuse(t *testing.T) {
+	const goroutines = 4
+	f := newFixture(t, core.CNN1, 16, goroutines, 160)
+	s := f.server(t, Config{Shards: 2, QueueDepth: 1024})
+	defer s.Close()
+
+	deadline := time.Now().Add(2 * time.Second)
+	var answered, canceled atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := tensor.New(1, 16, 16)
+			for i := 0; time.Now().Before(deadline); i++ {
+				copy(buf.Data, f.sample(g).Data)
+				ctx, cancel := context.WithCancel(context.Background())
+				spin := (i*37 + g*11) % 4096
+				spun := make(chan struct{})
+				go func() {
+					defer close(spun)
+					x := 0
+					for k := 0; k < spin; k++ {
+						x += k
+					}
+					_ = x
+					cancel()
+				}()
+				got, err := s.Predict(ctx, buf)
+				<-spun
+				switch {
+				case err == nil:
+					if got != f.want[g] {
+						t.Errorf("goroutine %d: class %d, want %d", g, got, f.want[g])
+						return
+					}
+					answered.Add(1)
+				case errors.Is(err, context.Canceled):
+					canceled.Add(1)
+				case errors.Is(err, ErrOverloaded):
+					// Abandoned requests still occupy the queue until the
+					// batcher drains them; back off like a client would.
+					time.Sleep(50 * time.Microsecond)
+				default:
+					t.Errorf("goroutine %d: unexpected error %v", g, err)
+					return
+				}
+				// Predict has returned: the buffer is the caller's again.
+				for j := range buf.Data {
+					buf.Data[j] = float64(i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	t.Logf("%d answered, %d canceled", answered.Load(), canceled.Load())
+}
+
 // TestServeBackpressure stalls the single shard (via the test batch hook)
 // so the pipeline's total capacity is exactly known — one batch in the
 // worker, Shards batches buffered, one batch held by the blocked flush,

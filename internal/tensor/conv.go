@@ -88,75 +88,6 @@ func Im2ColSlice(dst, src []float64, g ConvGeom) {
 	}
 }
 
-// Im2ColInt8Slice is Im2ColSlice over already-quantized int8 data: it
-// gathers a [ColRows, OutH·OutW] column matrix of int8 codes from a
-// quantized input image, zero-filling padding. Gathering bytes instead of
-// float64 words is what lets the batched int8 tier quantize the image once
-// and lower it cheaply — valid whenever the quantization scale of the image
-// equals that of the column matrix (stride-1 geometries; see the int8 tier
-// in internal/tpu).
-//
-//hpnn:noalloc
-func Im2ColInt8Slice(dst, src []int8, g ConvGeom) {
-	outH, outW := g.OutH(), g.OutW()
-	cols := outH * outW
-	r := 0
-	for c := 0; c < g.InC; c++ {
-		chanBase := c * g.InH * g.InW
-		for ky := 0; ky < g.KH; ky++ {
-			for kx := 0; kx < g.KW; kx++ {
-				rowBase := r * cols
-				// At stride 1 the gathered row ix = ox + kx − Pad is
-				// contiguous in ox, so each output row is two zero-filled
-				// edges around one memmove instead of a per-element gather.
-				lo, hi := 0, outW
-				if g.Stride == 1 {
-					if d := g.Pad - kx; d > 0 {
-						lo = d
-					}
-					if d := g.InW + g.Pad - kx; d < outW {
-						hi = d
-					}
-					if hi < lo {
-						hi = lo
-					}
-				}
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*g.Stride + ky - g.Pad
-					outBase := rowBase + oy*outW
-					if iy < 0 || iy >= g.InH {
-						row := dst[outBase : outBase+outW]
-						for ox := range row {
-							row[ox] = 0
-						}
-						continue
-					}
-					inBase := chanBase + iy*g.InW
-					if g.Stride == 1 {
-						for ox := 0; ox < lo; ox++ {
-							dst[outBase+ox] = 0
-						}
-						copy(dst[outBase+lo:outBase+hi], src[inBase+kx-g.Pad+lo:])
-						for ox := hi; ox < outW; ox++ {
-							dst[outBase+ox] = 0
-						}
-						continue
-					}
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*g.Stride + kx - g.Pad
-						if ix < 0 || ix >= g.InW {
-							dst[outBase+ox] = 0
-						} else {
-							dst[outBase+ox] = src[inBase+ix]
-						}
-					}
-				}
-				r++
-			}
-		}
-	}
-}
-
 // Col2Im scatters a column matrix (the gradient w.r.t. an Im2Col result)
 // back into image space, accumulating overlapping contributions. It is the
 // exact adjoint of Im2Col.

@@ -164,45 +164,3 @@ func TestConvDirectIdentityKernel(t *testing.T) {
 		t.Fatal("1x1 identity kernel should reproduce the image")
 	}
 }
-
-// TestIm2ColInt8MatchesFloat pins the int8 column gather to the float
-// reference: for random int8 images across a spread of geometries — both
-// stride-1 (the copy-run fast path, including pad edges) and strided (the
-// generic gather) — Im2ColInt8Slice must produce exactly the columns
-// Im2ColSlice produces on the same values. The batched int8 inference tier
-// rests on this equivalence.
-func TestIm2ColInt8MatchesFloat(t *testing.T) {
-	f := func(seed uint64, cR, hR, wR, kR, sR, pR uint8) bool {
-		g := ConvGeom{
-			InC: int(cR%3) + 1,
-			InH: int(hR%10) + 4, InW: int(wR%10) + 4,
-			KH: int(kR%3) + 1, KW: int(kR%3) + 1,
-			Stride: int(sR%2) + 1, Pad: int(pR % 3),
-		}
-		if g.Validate() != nil {
-			return true
-		}
-		r := rng.New(seed)
-		src8 := make([]int8, g.InLen())
-		srcF := make([]float64, g.InLen())
-		for i := range src8 {
-			src8[i] = int8(r.Uint64())
-			srcF[i] = float64(src8[i])
-		}
-		n := g.ColRows() * g.OutH() * g.OutW()
-		dst8 := make([]int8, n)
-		dstF := make([]float64, n)
-		Im2ColInt8Slice(dst8, src8, g)
-		Im2ColSlice(dstF, srcF, g)
-		for i := range dst8 {
-			if float64(dst8[i]) != dstF[i] {
-				t.Logf("geom %+v: column element %d is %d, float reference %v", g, i, dst8[i], dstF[i])
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -136,6 +136,68 @@ func TestGEMMDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestGEMMExactOnInt8Codes pins the fact the batched inference tier
+// (internal/tpu) rests on: over int8 codes in [−127, 127] held as float64,
+// every product is at most 127² and every partial sum an integer of
+// magnitude at most k·127² < 2⁵³, so the packed GEMM returns the exact
+// integer product. k straddles the kc block and reaches full-width
+// ResNet-18's largest shared dimension; n = 1 takes the skinny path and
+// n = 13 the tile grid; both the assembly and the portable micro-kernel
+// run. Random codes sit beside all-±127 operands, the largest sums.
+func TestGEMMExactOnInt8Codes(t *testing.T) {
+	defer func(fma bool) { gemmUseFMA = fma }(gemmUseFMA)
+	r := rng.New(53)
+	fill := func(dst []float64, v int) {
+		for i := range dst {
+			if v == 0 {
+				dst[i] = float64(int(r.Uint64()%255) - 127)
+			} else {
+				dst[i] = float64(v)
+			}
+		}
+	}
+	const m = 5
+	for _, k := range []int{1, 255, 256, 257, 4608} {
+		for _, n := range []int{1, 13} {
+			for _, fv := range [][2]int{{0, 0}, {127, -127}, {-127, -127}} {
+				a := make([]float64, m*k)
+				b := make([]float64, k*n) // [k, n] for NN
+				fill(a, fv[0])
+				fill(b, fv[1])
+				bt := make([]float64, n*k) // [n, k] for NT
+				for p := 0; p < k; p++ {
+					for c := 0; c < n; c++ {
+						bt[c*k+p] = b[p*n+c]
+					}
+				}
+				want := make([]int64, m*n)
+				for i := 0; i < m; i++ {
+					for c := 0; c < n; c++ {
+						var s int64
+						for p := 0; p < k; p++ {
+							s += int64(a[i*k+p]) * int64(b[p*n+c])
+						}
+						want[i*n+c] = s
+					}
+				}
+				for _, fma := range []bool{false, gemmCPUSupportsFMA()} {
+					gemmUseFMA = fma
+					nn := make([]float64, m*n)
+					nt := make([]float64, m*n)
+					MatMulSliceInto(nn, a, b, m, k, n)
+					MatMulNTSliceInto(nt, a, bt, m, k, n)
+					for i, w := range want {
+						if nn[i] != float64(w) || nt[i] != float64(w) {
+							t.Fatalf("k=%d n=%d fill=%v fma=%v elem %d: NN %v, NT %v, exact %d",
+								k, n, fv, fma, i, nn[i], nt[i], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGEMMReusesDst verifies the first-kc-block overwrite semantics: a
 // destination full of garbage must come out identical to a fresh one.
 func TestGEMMReusesDst(t *testing.T) {

@@ -128,31 +128,3 @@ func AvgPool2DGrad(dx, grad []float64, g ConvGeom) {
 		}
 	}
 }
-
-// Pad2DInto zero-pads a [C,H,W] image by pad on every spatial side into dst
-// ([C, H+2p, W+2p]).
-func Pad2DInto(dst, src []float64, c, h, w, pad int) {
-	ph, pw := h+2*pad, w+2*pad
-	for i := range dst {
-		dst[i] = 0
-	}
-	for ch := 0; ch < c; ch++ {
-		for y := 0; y < h; y++ {
-			srcRow := src[(ch*h+y)*w : (ch*h+y+1)*w]
-			dstBase := (ch*ph+y+pad)*pw + pad
-			copy(dst[dstBase:dstBase+w], srcRow)
-		}
-	}
-}
-
-// Unpad2DInto crops the pad border of a [C, H+2p, W+2p] image back to
-// [C,H,W] — the adjoint of Pad2DInto.
-func Unpad2DInto(dst, src []float64, c, h, w, pad int) {
-	ph, pw := h+2*pad, w+2*pad
-	for ch := 0; ch < c; ch++ {
-		for y := 0; y < h; y++ {
-			srcBase := (ch*ph+y+pad)*pw + pad
-			copy(dst[(ch*h+y)*w:(ch*h+y+1)*w], src[srcBase:srcBase+w])
-		}
-	}
-}

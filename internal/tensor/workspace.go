@@ -47,6 +47,15 @@ func EnsureFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
+// EnsureInt32s grows s to length n, reusing capacity. Contents are
+// unspecified after a resize.
+func EnsureInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
+	}
+	return s[:n]
+}
+
 // EnsureInts grows s to length n, reusing capacity. Contents are
 // unspecified after a resize.
 func EnsureInts(s []int, n int) []int {

@@ -8,9 +8,10 @@ import (
 )
 
 // This file is the production int8 execution tier: PredictBatch runs a
-// micro-batch [N, C, H, W] through a compiled plan on the packed int8 GEMM
-// engine (tensor/gemm8.go) instead of the simulated MMU, amortizing
-// quantization, im2col and lock lowering across the batch.
+// micro-batch [N, C, H, W] through a compiled plan on the packed float64
+// GEMM (tensor/gemm.go, the engine training uses) instead of the simulated
+// MMU, amortizing quantization, im2col and lock lowering across the batch.
+// The GEMM's operands are the datapath's int8 codes held as float64.
 //
 // The tier is differentially pinned to the simulator: for every registered
 // lock scheme, every sample of a batch must produce bit-for-bit the same
@@ -18,16 +19,19 @@ import (
 // as the golden per-sample path (plan.go → mmu.go). The equality is not
 // approximate. It rests on three facts:
 //
-//   - int32 addition is exact and wraps identically in any association
-//     (Z/2^32 is a commutative ring), so the GEMM's tiled sum, plus the
-//     bias, equals the accumulator chain's sequential preload-and-add;
+//   - the float sum is the exact integer sum: every code is in
+//     [−127, 127], so every product is at most 127² and |Σ| ≤ k·127² < 2⁵³,
+//     and float64 adds integers that small without rounding, in any order;
+//     int32(int64(Σ)) then wraps it to 32 bits, and int32 addition wraps
+//     identically in any association, so adding the bias gives the
+//     accumulator chain's sequential preload-and-add for any k;
 //   - the HPNN lock factor L ∈ {+1, −1} applied by the key-conditioned
 //     accumulator is a post-sum negation: −(b+Σ) under wrapping arithmetic
 //     equals the branchless two's-complement flip (s ^ −1) − (−1), so the
-//     lock folds into the kernel epilogue as a per-output sign mask;
+//     lock folds into the GEMM epilogue as a per-output sign mask;
 //   - activation quantization is per sample in both paths (quantizeSlice is
-//     operation-for-operation QuantizeToInto), so scales — and thus every
-//     downstream float — agree bitwise.
+//     operation-for-operation QuantizeToInto, widening each int8 code), so
+//     scales — and thus every downstream float — agree bitwise.
 //
 // Key bits are cached as sign masks per op. Revocation is the only runtime
 // event that changes a ColumnBit answer, so each op probes the device's
@@ -93,6 +97,21 @@ func (lm *lockMask) wipe() {
 
 // --- batched op implementations ---------------------------------------------
 
+// weightCodes returns the op's int8 weight codes widened to float64, the
+// GEMM operand of the batched tier. They are widened once per plan into the
+// accelerator's workspace under the op's compile-time key, so
+// WorkspaceBytes (and the serving registry's memory budget) counts them and
+// Release frees them.
+func (a *Accelerator) weightCodes(codes *tensor.Tensor, key string, q *QTensor) *tensor.Tensor {
+	if codes == nil {
+		codes = a.ws.Get(key, len(q.Data))
+		for i, v := range q.Data {
+			codes.Data[i] = float64(v)
+		}
+	}
+	return codes
+}
+
 func (o *convOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
 	g := o.geom
 	if len(act.Shape) != 4 || act.Shape[1] != g.InC || act.Shape[2] != g.InH || act.Shape[3] != g.InW {
@@ -105,11 +124,7 @@ func (o *convOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor,
 	if o.qW == nil {
 		o.qW = a.quantize(o.w)
 	}
-	if o.pW == nil {
-		// Weights quantize and pack once; the panel is cached for the
-		// plan's lifetime, like the golden path's qW.
-		o.pW = tensor.PackInt8RowsInto(o.pW, o.qW.Data, o.outC, kDim)
-	}
+	o.wCodes = a.weightCodes(o.wCodes, o.wKey, o.qW)
 	if o.lockID != "" && !o.colsSet {
 		o.cols = a.low.MACColumns(o.lockID, o.outC*pix)
 		o.colsSet = true
@@ -125,59 +140,59 @@ func (o *convOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor,
 	// 0 … InH−1 contiguously, and likewise for width), so the column
 	// matrix contains exactly the image's values plus padding zeros and
 	// MaxAbs(col) == MaxAbs(image). That lets the fast path quantize the
-	// C·H·W image once and gather int8 codes — identical scale, identical
+	// C·H·W image once and gather its codes — identical scale, identical
 	// per-value rounding, ~KH·KW× less rounding work — instead of
 	// quantizing the C·KH·KW·OutH·OutW column matrix like the golden path
-	// does. Strided geometries can skip pixels, so they keep the
-	// quantize-the-columns order.
-	fastQuant := g.Stride == 1
-	var col *tensor.Tensor
-	if fastQuant {
-		o.bImg8 = tensor.EnsureInt8s(o.bImg8, g.InLen())
-		o.bCol8 = tensor.EnsureInt8s(o.bCol8, kDim*pix)
-	} else {
-		col = a.ws.Get(o.bColKey, kDim, pix)
+	// does. Strided geometries can skip pixels, so they gather first and
+	// quantize the columns in place.
+	col := a.ws.Get(o.bColKey, kDim, pix)
+	var img *tensor.Tensor
+	if g.Stride == 1 {
+		img = a.ws.Get(o.bImgKey, g.InLen())
 	}
 	out := a.ws.Get(o.bOutKey, n, o.outC, g.OutH(), g.OutW())
 	o.bAcc = tensor.EnsureInt32s(o.bAcc, o.outC*pix)
-	sampleIn := g.InC * g.InH * g.InW
+	sampleIn := g.InLen()
 	sampleOut := o.outC * pix
 	for i := 0; i < n; i++ {
 		// Quantization is per sample — the scale tracks each sample's
 		// dynamic range exactly as the golden path's does, which is what
 		// keeps the two paths bitwise-equal.
-		var accScale float64
-		if fastQuant {
-			scale := quantizeSlice(o.bImg8, act.Data[i*sampleIn:(i+1)*sampleIn], a.bits)
-			tensor.Im2ColInt8Slice(o.bCol8, o.bImg8, g)
-			accScale = scale * o.qW.Scale
-			o.pCol = tensor.PackInt8ColsInto(o.pCol, o.bCol8, kDim, pix)
+		src := act.Data[i*sampleIn : (i+1)*sampleIn]
+		var scale float64
+		if img != nil {
+			scale = quantizeSlice(img.Data, src, a.bits)
+			tensor.Im2ColSlice(col.Data, img.Data, g)
 		} else {
-			tensor.Im2ColSlice(col.Data, act.Data[i*sampleIn:(i+1)*sampleIn], g)
-			o.qIn = QuantizeToInto(o.qIn, col, a.bits)
-			accScale = o.qIn.Scale * o.qW.Scale
-			o.pCol = tensor.PackInt8ColsInto(o.pCol, o.qIn.Data, kDim, pix)
+			tensor.Im2ColSlice(col.Data, src, g)
+			scale = quantizeSlice(col.Data, col.Data, a.bits)
 		}
+		accScale := scale * o.qW.Scale
 		o.bias = QuantizeBiasInto(o.bias, o.b, accScale)
-		tensor.Int8MatMulPanelsInto(o.bAcc, o.pW, o.pCol)
+		// The exact sums land in the sample's output segment; the epilogue
+		// reads them into the int32 accumulators before finishMACSlice
+		// overwrites the segment with the activations.
+		seg := out.Data[i*sampleOut : (i+1)*sampleOut]
+		tensor.MatMulSliceInto(seg, o.wCodes.Data, col.Data, o.outC, kDim, pix)
 		for oc := 0; oc < o.outC; oc++ {
 			row := o.bAcc[oc*pix : (oc+1)*pix]
+			sums := seg[oc*pix : (oc+1)*pix]
 			b := o.bias[oc]
 			if o.cols == nil {
-				for j := range row {
-					row[j] += b
+				for j, v := range sums {
+					row[j] = int32(int64(v)) + b
 				}
 			} else {
 				mrow := o.mask.neg[oc*pix : (oc+1)*pix]
-				for j := range row {
-					s := row[j] + b
+				for j, v := range sums {
+					s := int32(int64(v)) + b
 					m := mrow[j]
 					row[j] = (s ^ m) - m
 				}
 			}
 		}
 		a.mmu.accountMatMul(o.outC, kDim, pix, 0, locked)
-		o.q8 = finishMACSlice(out.Data[i*sampleOut:(i+1)*sampleOut], o.bAcc, accScale, o.relu, o.q8)
+		o.q8 = finishMACSlice(seg, o.bAcc, accScale, o.relu, o.q8)
 	}
 	return out, nil
 }
@@ -195,9 +210,7 @@ func (o *denseOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor
 	if o.qW == nil {
 		o.qW = a.quantize(o.w)
 	}
-	if o.pW == nil {
-		o.pW = tensor.PackInt8RowsInto(o.pW, o.qW.Data, o.out, o.in)
-	}
+	o.wCodes = a.weightCodes(o.wCodes, o.wKey, o.qW)
 	if o.lockID != "" && !o.colsSet {
 		o.cols = a.low.MACColumns(o.lockID, o.out)
 		o.colsSet = true
@@ -209,36 +222,34 @@ func (o *denseOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor
 	}
 
 	// Per-sample quantization, then ONE GEMM over the whole micro-batch:
-	// the packed sample rows are the left operand, the cached weight panel
-	// the right — the equal lane widths of the int8 engine make the same
-	// weight pack serve both conv (left) and dense (right) roles.
-	o.bQ8 = tensor.EnsureInt8s(o.bQ8, n*o.in)
+	// the sample rows' codes times the transposed weight codes, with the
+	// exact sums landing in the output block.
+	x := a.ws.Get(o.bInKey, n, o.in)
 	o.bScales = tensor.EnsureFloats(o.bScales, n)
 	for i := 0; i < n; i++ {
-		o.bScales[i] = quantizeSlice(o.bQ8[i*o.in:(i+1)*o.in], act.Data[i*o.in:(i+1)*o.in], a.bits)
+		o.bScales[i] = quantizeSlice(x.Data[i*o.in:(i+1)*o.in], act.Data[i*o.in:(i+1)*o.in], a.bits)
 	}
-	o.pX = tensor.PackInt8RowsInto(o.pX, o.bQ8, n, o.in)
-	o.bAcc = tensor.EnsureInt32s(o.bAcc, n*o.out)
-	tensor.Int8MatMulPanelsInto(o.bAcc, o.pX, o.pW)
-
 	out := a.ws.Get(o.bOutKey, n, o.out)
+	tensor.MatMulNTSliceInto(out.Data, x.Data, o.wCodes.Data, n, o.in, o.out)
+
+	o.bAcc = tensor.EnsureInt32s(o.bAcc, o.out)
 	for i := 0; i < n; i++ {
 		accScale := o.bScales[i] * o.qW.Scale
 		o.bias = QuantizeBiasInto(o.bias, o.b, accScale)
-		row := o.bAcc[i*o.out : (i+1)*o.out]
+		seg := out.Data[i*o.out : (i+1)*o.out]
 		if o.cols == nil {
-			for j := range row {
-				row[j] += o.bias[j]
+			for j, v := range seg {
+				o.bAcc[j] = int32(int64(v)) + o.bias[j]
 			}
 		} else {
-			for j := range row {
-				s := row[j] + o.bias[j]
+			for j, v := range seg {
+				s := int32(int64(v)) + o.bias[j]
 				m := o.mask.neg[j]
-				row[j] = (s ^ m) - m
+				o.bAcc[j] = (s ^ m) - m
 			}
 		}
 		a.mmu.accountMatMul(o.out, o.in, 1, 0, locked)
-		o.q8 = finishMACSlice(out.Data[i*o.out:(i+1)*o.out], row, accScale, o.relu, o.q8)
+		o.q8 = finishMACSlice(seg, o.bAcc, accScale, o.relu, o.q8)
 	}
 	return out, nil
 }

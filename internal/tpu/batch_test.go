@@ -79,8 +79,14 @@ var batchArchs = []struct {
 // architectures, every sample of every batch size must reproduce the
 // per-sample simulator's final activations bit for bit — and a full pass
 // over the batch must leave identical hardware counters.
+//
+// The last two samples are extreme. One is scaled by 1e-300, so the first
+// layer's quantized biases saturate at ±MaxInt32 and the int32 sums wrap.
+// The other has one value of 1e-307 and zeros elsewhere: the wire accepts
+// it because it is finite, its 1/scale overflows to +Inf, and its zeros
+// quantize through 0·Inf = NaN, which the golden path stores as code 0.
 func TestPredictBatchMatchesGoldenAllSchemes(t *testing.T) {
-	const n = 8
+	const n = 10
 	for si, schemeName := range lockscheme.Names() {
 		for ai, ac := range batchArchs {
 			t.Run(schemeName+"/"+ac.name, func(t *testing.T) {
@@ -89,6 +95,15 @@ func TestPredictBatchMatchesGoldenAllSchemes(t *testing.T) {
 				feat := ac.hw * ac.hw
 				x := tensor.New(n, 1, ac.hw, ac.hw)
 				x.FillUniform(rng.New(seed+7), -1, 1)
+				tiny := x.Data[(n-2)*feat : (n-1)*feat]
+				for i := range tiny {
+					tiny[i] *= 1e-300
+				}
+				lone := x.Data[(n-1)*feat:]
+				for i := range lone {
+					lone[i] = 0
+				}
+				lone[feat/2+ac.hw/2] = 1e-307
 
 				golden := f.accel(t, DefaultConfig())
 				plan, err := golden.planFor(f.model)
@@ -108,7 +123,7 @@ func TestPredictBatchMatchesGoldenAllSchemes(t *testing.T) {
 				}
 				goldenStats := golden.Stats()
 
-				for _, bn := range []int{1, 3, n} {
+				for _, bn := range []int{1, 3, 5, n} {
 					fast := f.accel(t, DefaultConfig())
 					fplan, err := fast.planFor(f.model)
 					if err != nil {
@@ -448,14 +463,17 @@ func TestPredictBatchZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestQuantizeSliceMatchesQuantizeToInto pins the raw-slice quantizer to
-// the tensor one, operation for operation — the dense batched path depends
-// on this equality for its bitwise contract.
+// the tensor one, operation for operation — the batched tier depends on
+// this equality for its bitwise contract. The widened codes must be
+// exactly the int8 codes, including a sample so small that 1/scale is +Inf
+// and its zeros round through NaN.
 func TestQuantizeSliceMatchesQuantizeToInto(t *testing.T) {
 	cases := [][]float64{
 		{},
 		{0, 0, 0},
 		{1},
 		{-1, 1, 0.5, -0.25, 1e-9, -1e9, 127.4, -127.6},
+		{1e-307, 0, -1e-307, 0},
 	}
 	r := rng.New(4900)
 	big := make([]float64, 513)
@@ -469,14 +487,14 @@ func TestQuantizeSliceMatchesQuantizeToInto(t *testing.T) {
 		for ci, src := range cases {
 			tt := tensor.FromSlice(append([]float64(nil), src...), len(src))
 			q = QuantizeToInto(q, tt, bits)
-			dst := make([]int8, len(src))
+			dst := make([]float64, len(src))
 			scale := quantizeSlice(dst, src, bits)
 			if math.Float64bits(scale) != math.Float64bits(q.Scale) {
 				t.Fatalf("bits=%d case %d: scale %v vs %v", bits, ci, scale, q.Scale)
 			}
 			for i := range dst {
-				if dst[i] != q.Data[i] {
-					t.Fatalf("bits=%d case %d elem %d: %d vs %d", bits, ci, i, dst[i], q.Data[i])
+				if math.Float64bits(dst[i]) != math.Float64bits(float64(q.Data[i])) {
+					t.Fatalf("bits=%d case %d elem %d: %v vs %d", bits, ci, i, dst[i], q.Data[i])
 				}
 			}
 		}

@@ -176,8 +176,9 @@ func wipeOpKeyMaterial(op planOp) {
 	}
 }
 
-// WorkspaceBytes reports the bytes held by the device's activation
-// workspace — the per-shard memory cost of the serving layer.
+// WorkspaceBytes reports the bytes held by the device's workspace: the
+// compiled ops' activation buffers plus the batched tier's float64 weight
+// codes — the per-shard memory cost of the serving layer.
 func (a *Accelerator) WorkspaceBytes() int { return a.ws.Bytes() }
 
 // PredictSample runs a single sample x ([C, H, W] — no batch dimension)

@@ -2,6 +2,7 @@ package tpu
 
 import (
 	"fmt"
+	"strconv"
 
 	"hpnn/internal/core"
 	"hpnn/internal/nn"
@@ -33,8 +34,9 @@ import (
 
 // planOp is one compiled accelerator operation. apply is the golden
 // per-sample path through the simulated MMU; applyBatch is the production
-// int8 tier (batch.go), which executes the same plan over a [N, ...]
-// activation block and must match apply bitwise, sample for sample.
+// batched tier (batch.go), which executes the same plan over a [N, ...]
+// activation block — its MACs on the float GEMM over int8 codes — and must
+// match apply bitwise, sample for sample.
 type planOp interface {
 	apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error)
 	applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error)
@@ -50,7 +52,7 @@ type planCompiler struct {
 
 func (c *planCompiler) key(kind string) string {
 	c.n++
-	return fmt.Sprintf("%s%s#%d", c.prefix, kind, c.n)
+	return c.prefix + kind + "#" + strconv.Itoa(c.n)
 }
 
 // compile lowers a network into accelerator operations.
@@ -151,6 +153,7 @@ func (c *planCompiler) fuseMAC(layers []nn.Layer, i int) (planOp, int, error) {
 			lockID: lockID, lockN: lockN, relu: relu,
 			colKey: c.key("conv.col"), outKey: c.key("conv.out"),
 			bColKey: c.key("conv.bcol"), bOutKey: c.key("conv.bout"),
+			bImgKey: c.key("conv.bimg"), wKey: c.key("conv.wcodes"),
 		}, consumed, nil
 	case *nn.Dense:
 		if bn != nil {
@@ -161,6 +164,7 @@ func (c *planCompiler) fuseMAC(layers []nn.Layer, i int) (planOp, int, error) {
 			w: mac.W.Value, b: mac.B.Value,
 			lockID: lockID, lockN: lockN, relu: relu,
 			outKey: c.key("dense.out"), bOutKey: c.key("dense.bout"),
+			bInKey: c.key("dense.bin"), wKey: c.key("dense.wcodes"),
 		}, consumed, nil
 	default:
 		return nil, 0, fmt.Errorf("tpu: fuseMAC on non-MAC layer %s", layers[i].Name())
@@ -244,9 +248,10 @@ type convOp struct {
 	// per-sample path so either entry point can be warmed and sealed
 	// independently of the other.
 	bColKey, bOutKey string
-	pW, pCol         *tensor.Int8Panels
+	bImgKey          string         // stride-1 fast path: the image's codes
+	wKey             string         // the weight codes widened to float64
+	wCodes           *tensor.Tensor // workspace buffer under wKey
 	bAcc             []int32
-	bImg8, bCol8     []int8 // stride-1 fast path: quantized image + int8 column gather
 	mask             lockMask
 }
 
@@ -296,9 +301,10 @@ type denseOp struct {
 
 	// Batched-tier state (batch.go).
 	bOutKey string
-	pW, pX  *tensor.Int8Panels
+	bInKey  string         // the batch's input codes
+	wKey    string         // the weight codes widened to float64
+	wCodes  *tensor.Tensor // workspace buffer under wKey
 	bAcc    []int32
-	bQ8     []int8
 	bScales []float64
 	mask    lockMask
 }

@@ -25,8 +25,9 @@ go test -race ./internal/tensor/... ./internal/nn/... ./internal/serve/... ./int
 # tpu package's slow training suites.
 go test -race -run 'TestServeConcurrentAccelerators|TestPredictSampleMatchesPredict' ./internal/tpu/
 # The serve lifecycle tests (hammer, close-under-load, backpressure,
-# cancellation) are scheduler-sensitive; repeat them to shake out
-# interleavings a single run can miss.
+# cancellation, buffer reuse after a cancelled Predict) are
+# scheduler-sensitive; repeat them to shake out interleavings a single run
+# can miss.
 go test -race -count=3 -run TestServe ./internal/serve/
 # Multi-tenant registry lifecycle (DESIGN.md §14): the cross-tenant hammer,
 # hot-swap zero-drop/bitwise-split, LRU eviction under a memory budget and
@@ -49,12 +50,15 @@ go test -race -run 'TestReplica' ./internal/train/
 go test -race -run 'TestShard' ./internal/dataset/
 # Packed GEMM engine invariants under the race detector: worker-count
 # independence (bitwise) and the zero-alloc steady-state pin for the
-# pooled packing scratch. By name, so the gate stays fast. TestInt8GEMM
-# covers the int8 panel engine behind the batched inference tier.
-go test -race -run 'TestGEMMDeterministicAcrossWorkers|TestGEMMZeroAllocSteadyState|TestGEMMMatchesNaive|TestInt8GEMM' ./internal/tensor/
-# Batched int8 inference tier: bitwise parity with the per-sample golden
-# path across every registered scheme, worker-count determinism, partial
-# batches after Seal, revocation mid-service, and the quantizer pin. The
+# pooled packing scratch. By name, so the gate stays fast.
+# TestGEMMExactOnInt8Codes pins the exactness the batched inference tier
+# rests on: over int8 codes held as float64 the GEMM returns the exact
+# integer product.
+go test -race -run 'TestGEMMDeterministicAcrossWorkers|TestGEMMZeroAllocSteadyState|TestGEMMMatchesNaive|TestGEMMExactOnInt8Codes' ./internal/tensor/
+# Batched int8 inference tier (int8 codes on the float GEMM): bitwise
+# parity with the per-sample golden path across every registered scheme,
+# extreme samples included, worker-count determinism, partial batches
+# after Seal, revocation mid-service, and the quantizer pin. The
 # checked-in fuzz corpus replays as unit cases under -race; the zero-alloc
 # pin skips itself when the race detector is on.
 go test -race -run 'TestPredictBatch|TestQuantizeSlice|FuzzPredictBatch' ./internal/tpu/
