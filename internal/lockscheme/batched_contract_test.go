@@ -17,10 +17,10 @@ import (
 )
 
 // tpuBackend binds the contract suite's InferenceBackend to the
-// accelerator's two tiers: Predict is the functional per-sample golden
-// path, PredictBatch is the batched int8 engine. A fresh accelerator per
-// call keeps the binding stateless, so every probe also judges a fresh
-// plan compile.
+// accelerator's two backends: Predict is the golden MMU path
+// (PredictSample, sample by sample), PredictBatch is the GEMM tier in one
+// PredictBatchInto call. A fresh accelerator per call keeps the binding
+// stateless, so every probe also judges a fresh plan compile.
 type tpuBackend struct{}
 
 func (tpuBackend) Predict(s lockscheme.Scheme, m *core.Model, dev *keys.Device, sched *schedule.Schedule, x *tensor.Tensor) ([]int, error) {
@@ -28,7 +28,15 @@ func (tpuBackend) Predict(s lockscheme.Scheme, m *core.Model, dev *keys.Device, 
 	if err != nil {
 		return nil, err
 	}
-	return acc.Predict(m, x)
+	n := x.Shape[0]
+	feat := x.Len() / n
+	preds := make([]int, n)
+	for i := range preds {
+		if preds[i], err = acc.PredictSample(m, tensor.FromSlice(x.Data[i*feat:(i+1)*feat], x.Shape[1:]...)); err != nil {
+			return nil, err
+		}
+	}
+	return preds, nil
 }
 
 func (tpuBackend) PredictBatch(s lockscheme.Scheme, m *core.Model, dev *keys.Device, sched *schedule.Schedule, x *tensor.Tensor) ([]int, error) {
@@ -36,7 +44,8 @@ func (tpuBackend) PredictBatch(s lockscheme.Scheme, m *core.Model, dev *keys.Dev
 	if err != nil {
 		return nil, err
 	}
-	return acc.PredictBatch(m, x)
+	preds := make([]int, x.Shape[0])
+	return preds, acc.PredictBatchInto(preds, m, x)
 }
 
 // TestSchemeContractBatched runs the batched-inference contract clauses for

@@ -271,7 +271,7 @@ func RunContract(s Scheme, cfg ContractConfig) (ContractReport, []error) {
 // InferenceBackend abstracts an execution engine over published models so
 // the contract suite can pin batched semantics without importing the tpu
 // package (which imports this one). The external test in this package binds
-// it to the accelerator's per-sample golden path and batched int8 tier; any
+// it to the accelerator's golden MMU path and its GEMM tier; any
 // future engine that wants registry coverage implements the same pair.
 type InferenceBackend interface {
 	// Predict runs x (one sample per leading index) through the engine's

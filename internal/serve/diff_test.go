@@ -20,9 +20,9 @@ import (
 // TestServeDifferentialRandomModels is the property-style half of the
 // differential harness: for every registered lock scheme and a spread of
 // architectures, every class served through the batcher must equal the
-// single-call accelerator bit-for-bit, against two oracles — the golden
-// per-sample simulator (tpu.Predict) and one whole-input call on the
-// batched int8 tier (tpu.PredictBatch). The quantized path is fully
+// accelerator bit-for-bit, against two oracles — the golden MMU path
+// (tpu.PredictSample) and one whole-input call on the GEMM tier
+// (tpu.Predict). The quantized path is fully
 // deterministic, so any divergence — however the batcher slices the
 // traffic into partial batches across shards — is a bug, not noise. Run
 // under -race.
@@ -48,7 +48,7 @@ func TestServeDifferentialRandomModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := ref.PredictBatch(f.model, f.x)
+			batched, err := ref.Predict(f.model, f.x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestServeDifferentialRandomModels(t *testing.T) {
 
 // TestServeDifferentialTrainedModel is the end-to-end half: a trained
 // locked CNN1 served through the batcher must (a) agree bit-for-bit with
-// the single-call locked accelerator on every test sample and (b) stay
+// the golden PredictSample path on every test sample and (b) stay
 // within quantization tolerance of the float core path — the same bound
 // the accelerator itself is held to in internal/tpu.
 func TestServeDifferentialTrainedModel(t *testing.T) {
@@ -122,10 +122,7 @@ func TestServeDifferentialTrainedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Predict(m, ds.TestX)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := goldenPredict(t, ref, m, ds.TestX)
 
 	s, err := New(m, tpu.DefaultConfig(), dev, sched, Config{
 		Shards: 2, MaxBatch: 8, MaxWait: 100 * time.Microsecond, QueueDepth: 1024,
@@ -142,7 +139,7 @@ func TestServeDifferentialTrainedModel(t *testing.T) {
 	servedCorrect := 0
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("test sample %d: served class %d, single-call accelerator %d", i, got[i], want[i])
+			t.Fatalf("test sample %d: served class %d, golden %d", i, got[i], want[i])
 		}
 		if got[i] == ds.TestY[i] {
 			servedCorrect++
@@ -162,7 +159,7 @@ func TestServeDifferentialTrainedModel(t *testing.T) {
 
 // TestServeDifferentialCommodityHardware serves the same trained weights
 // with no key device (the paper's piracy scenario) and checks the service
-// faithfully reproduces the collapsed single-call behaviour — the serving
+// faithfully reproduces the collapsed golden behaviour — the serving
 // layer must not accidentally "fix" what the missing key breaks.
 func TestServeDifferentialCommodityHardware(t *testing.T) {
 	const n = 24
@@ -172,10 +169,7 @@ func TestServeDifferentialCommodityHardware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := commodity.Predict(f.model, f.x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := goldenPredict(t, commodity, f.model, f.x)
 
 	s, err := New(f.model, tpu.DefaultConfig(), nil, f.sched, Config{Shards: 2, QueueDepth: 256})
 	if err != nil {
@@ -188,7 +182,7 @@ func TestServeDifferentialCommodityHardware(t *testing.T) {
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("sample %d: no-key served class %d, no-key single-call %d", i, got[i], want[i])
+			t.Fatalf("sample %d: no-key served class %d, no-key golden %d", i, got[i], want[i])
 		}
 	}
 	if s.HardwareStats().LockedOutputs != 0 {

@@ -324,14 +324,8 @@ func newSwapFixture(t testing.TB, n int, seed uint64) *swapFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want1, err := ref.Predict(m1, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2, err := ref.Predict(m2, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want1 := goldenPredict(t, ref, m1, x)
+	want2 := goldenPredict(t, ref, m2, x)
 	differ := false
 	for i := range want1 {
 		if want1[i] != want2[i] {

@@ -18,19 +18,19 @@ import (
 )
 
 // testFixture is a locked model plus everything needed to serve it and to
-// check served answers against a single-call reference device.
+// check served answers against the golden reference, PredictSample.
 type testFixture struct {
 	model *core.Model
 	dev   *keys.Device
 	sched *schedule.Schedule
 	x     *tensor.Tensor // [n, C, H, W] random inputs
-	want  []int          // single-call reference predictions
+	want  []int          // golden PredictSample predictions
 	feat  int
 }
 
 // newFixture builds a small random locked MLP (8×8, 4 classes) with n
 // reference inputs. Random weights are fine for differential checks: the
-// quantized path is deterministic, so serve and single-call must agree
+// quantized path is deterministic, so serve and golden must agree
 // bit-for-bit regardless of training.
 func newFixture(t testing.TB, arch core.Arch, hw, n int, seed uint64) *testFixture {
 	t.Helper()
@@ -47,15 +47,27 @@ func newFixture(t testing.TB, arch core.Arch, hw, n int, seed uint64) *testFixtu
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Predict(m, x)
-	if err != nil {
-		t.Fatal(err)
+	return &testFixture{model: m, dev: dev, sched: sched, x: x, want: goldenPredict(t, ref, m, x), feat: hw * hw}
+}
+
+// goldenPredict is the golden oracle: the accelerator's PredictSample,
+// sample by sample, with every MAC on the simulated MMU.
+func goldenPredict(t testing.TB, acc *tpu.Accelerator, m *core.Model, x *tensor.Tensor) []int {
+	t.Helper()
+	n := x.Shape[0]
+	feat := x.Len() / n
+	out := make([]int, n)
+	for i := range out {
+		var err error
+		if out[i], err = acc.PredictSample(m, tensor.FromSlice(x.Data[i*feat:(i+1)*feat], x.Shape[1:]...)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return &testFixture{model: m, dev: dev, sched: sched, x: x, want: want, feat: hw * hw}
+	return out
 }
 
 // newSchemeFixture is newFixture through a named lock scheme's full owner
-// lifecycle (instrument → publish), with the single-call reference running
+// lifecycle (instrument → publish), with the golden reference running
 // on an accelerator lowering that scheme. It parameterizes the serve
 // differential and bench suites over the whole lockscheme registry.
 func newSchemeFixture(t testing.TB, schemeName string, arch core.Arch, hw, n int, seed uint64) *testFixture {
@@ -82,11 +94,7 @@ func newSchemeFixture(t testing.TB, schemeName string, arch core.Arch, hw, n int
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Predict(m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testFixture{model: m, dev: dev, sched: sched, x: x, want: want, feat: hw * hw}
+	return &testFixture{model: m, dev: dev, sched: sched, x: x, want: goldenPredict(t, ref, m, x), feat: hw * hw}
 }
 
 func (f *testFixture) server(t testing.TB, cfg Config) *Server {

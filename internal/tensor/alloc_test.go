@@ -111,9 +111,20 @@ func TestWorkspaceSealEnforcesFootprint(t *testing.T) {
 	mustPanic("new key", func() { ws.Get("c", 1) })
 	mustPanic("growth", func() { ws.Get("b", 1024) })
 
+	// Reset zeroes each buffer's whole capacity before dropping it, so an
+	// alias kept from before reads zeros, even past a shrinking reshape.
+	a := ws.Get("a", 8, 8)
+	a.Fill(3)
+	alias := a.Data
+	ws.Get("a", 2)
 	ws.Reset()
 	if ws.Sealed() {
 		t.Fatal("Reset did not lift the seal")
+	}
+	for i, v := range alias {
+		if v != 0 {
+			t.Fatalf("buffer entry %d = %v after Reset, want 0", i, v)
+		}
 	}
 	ws.Get("c", 16) // legal again after Reset
 }

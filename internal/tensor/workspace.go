@@ -120,11 +120,14 @@ func (w *Workspace) Seal() { w.sealed = true }
 // Sealed reports whether the workspace has been sealed.
 func (w *Workspace) Sealed() bool { return w.sealed }
 
-// Reset drops every buffer, releasing the memory to the garbage collector,
-// and lifts any seal.
+// Reset zeroes and drops every buffer, releasing the memory to the garbage
+// collector, and lifts any seal. Zeroing first means no alias of a dropped
+// buffer still reads what it held: the accelerator's Release relies on it
+// to leave no weight codes or activations behind.
 func (w *Workspace) Reset() {
 	//hpnn:allow(determinism) order-independent full clear (the compiler's map-clear idiom)
-	for k := range w.bufs {
+	for k, t := range w.bufs {
+		clear(t.Data[:cap(t.Data)])
 		delete(w.bufs, k)
 	}
 	w.sealed = false

@@ -1,23 +1,31 @@
 package tpu
 
 import (
-	"fmt"
-
-	"hpnn/internal/core"
 	"hpnn/internal/tensor"
 )
 
-// This file is the production int8 execution tier: PredictBatch runs a
-// micro-batch [N, C, H, W] through a compiled plan on the packed float64
-// GEMM (tensor/gemm.go, the engine training uses) instead of the simulated
-// MMU, amortizing quantization, im2col and lock lowering across the batch.
-// The GEMM's operands are the datapath's int8 codes held as float64.
+// This file is the MAC step of the conv and dense ops, the one place where
+// execution branches on the backend. Every op runs over a [N, ...] block
+// (plan.go); its MACs then go either
 //
-// The tier is differentially pinned to the simulator: for every registered
-// lock scheme, every sample of a batch must produce bit-for-bit the same
+//   - to the packed float64 GEMM (tensor/gemm.go, the engine training uses),
+//     whose operands are the datapath's int8 codes held as float64, with
+//     the bias and the lock applied in an epilogue — the production tier of
+//     PredictBatchInto, Predict and Accuracy; or
+//   - to the simulated MMU's MatMulLockedInto (mmu.go), which preloads the
+//     bias and reads each output's key bit through the device's column
+//     probe — the golden reference of PredictSample, and the backend of the
+//     GateLevel and Systolic diagnostic modes, which must observe every gate
+//     evaluation and every cycle.
+//
+// The GEMM is differentially pinned to the MMU: for every registered lock
+// scheme, every sample of a batch must produce bit-for-bit the same
 // activations — and therefore the same predictions and hardware counters —
-// as the golden per-sample path (plan.go → mmu.go). The equality is not
-// approximate. It rests on three facts:
+// as PredictSample. The reference shares nothing the GEMM could get wrong:
+// it quantizes the gathered column matrix (never the stride-1 image
+// shortcut), reads key bits through columnBit (never the cached mask) and
+// multiplies int8 codes. The equality is not approximate. It rests on three
+// facts:
 //
 //   - the float sum is the exact integer sum: every code is in
 //     [−127, 127], so every product is at most 127² and |Σ| ≤ k·127² < 2⁵³,
@@ -26,28 +34,25 @@ import (
 //     identically in any association, so adding the bias gives the
 //     accumulator chain's sequential preload-and-add for any k;
 //   - the HPNN lock factor L ∈ {+1, −1} applied by the key-conditioned
-//     accumulator is a post-sum negation: −(b+Σ) under wrapping arithmetic
-//     equals the branchless two's-complement flip (s ^ −1) − (−1), so the
-//     lock folds into the GEMM epilogue as a per-output sign mask;
-//   - activation quantization is per sample in both paths (quantizeSlice is
-//     operation-for-operation QuantizeToInto, widening each int8 code), so
-//     scales — and thus every downstream float — agree bitwise.
+//     accumulator is a post-sum negation (§III-D: the XOR gates add no
+//     cycles): −(b+Σ) under wrapping arithmetic equals the branchless
+//     two's-complement flip (s ^ −1) − (−1), so the lock folds into the
+//     GEMM epilogue as a per-output sign mask;
+//   - activation quantization is per sample on both backends (quantizeSlice
+//     is operation-for-operation QuantizeToInto, widening each int8 code),
+//     so scales — and thus every downstream float — agree bitwise.
 //
 // Key bits are cached as sign masks per op. Revocation is the only runtime
 // event that changes a ColumnBit answer, so each op probes the device's
 // revocation state once per batch (lockMask.refresh) instead of re-asking
 // for every output of every sample — the cache can never serve stale lock
 // state across a license pull.
-//
-// Diagnostic device modes (GateLevel, Systolic) intentionally bypass this
-// tier: PredictBatch falls back to the per-sample simulator so those modes
-// keep observing every gate evaluation.
 
 // lockMask caches the per-output sign masks an op derives from the sealed
 // device's key bits: neg[j] is −1 where the key bit reads 1 (negating
 // accumulator) and 0 elsewhere, so the epilogue flip is branch-free:
 // (s ^ neg) − neg. locked counts the negating outputs, feeding the same
-// LockedOutputs accounting as the golden path.
+// LockedOutputs accounting as the MMU.
 type lockMask struct {
 	built   bool
 	revoked bool // device revocation state the mask was built under
@@ -82,319 +87,115 @@ func (lm *lockMask) refresh(m *MMU, cols []int) {
 
 // wipe zeroes the cached key-bit sign masks and marks the mask unbuilt.
 // The entries are overwritten before the slice is dropped so that every
-// alias of the backing array reads zeros too — Release calls this when a
-// tenant's plan is evicted, and the whole point is that no key-derived
-// residue survives in reusable accelerator memory.
+// alias of the backing array reads zeros too.
 func (lm *lockMask) wipe() {
-	for i := range lm.neg {
-		lm.neg[i] = 0
-	}
-	lm.neg = nil
-	lm.locked = 0
-	lm.built = false
-	lm.revoked = false
+	clear(lm.neg)
+	*lm = lockMask{}
 }
 
-// --- batched op implementations ---------------------------------------------
+// macCore is the MAC state a fused conv or dense op keeps: the (folded)
+// float weights W[m, k] and bias, their codes, the lock's column
+// assignment and sign mask, and the per-sample accumulator scratch.
+type macCore struct {
+	w, b   *tensor.Tensor
+	m, k   int
+	lockID string
+	relu   bool
+	ownsWB bool // w and b are the BN fold's clones, not the model's tensors
 
-// weightCodes returns the op's int8 weight codes widened to float64, the
-// GEMM operand of the batched tier. They are widened once per plan into the
-// accelerator's workspace under the op's compile-time key, so
-// WorkspaceBytes (and the serving registry's memory budget) counts them and
-// Release frees them.
-func (a *Accelerator) weightCodes(codes *tensor.Tensor, key string, q *QTensor) *tensor.Tensor {
-	if codes == nil {
-		codes = a.ws.Get(key, len(q.Data))
-		for i, v := range q.Data {
-			codes.Data[i] = float64(v)
-		}
-	}
-	return codes
+	outKey, wKey string
+	qW           *QTensor       // weight codes, quantized on first run
+	wCodes       *tensor.Tensor // qW widened to float64 under wKey (GEMM only)
+	cols         []int
+	colsSet      bool // scheme lowering answered (nil = no in-datapath lock)
+	mask         lockMask
+	bias         []int32
+	acc          []int32
+	x8           []int8 // the MMU's input codes
+	q8           []int8
 }
 
-func (o *convOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	g := o.geom
-	if len(act.Shape) != 4 || act.Shape[1] != g.InC || act.Shape[2] != g.InH || act.Shape[3] != g.InW {
-		//hpnn:allow(noalloc) cold error path
-		return nil, fmt.Errorf("tpu: batched conv input %v does not match geometry %+v", act.Shape, g)
+// prepare readies an op's weights and lock for one run: it quantizes the
+// weights on first use and lowers the lock's column assignment once. On the
+// GEMM it also widens the weight codes once into the workspace, so
+// WorkspaceBytes (and the serving registry's memory budget) counts them, and
+// refreshes the sign mask the epilogue reads.
+func (c *macCore) prepare(a *Accelerator, outputs int) {
+	if c.qW == nil {
+		c.qW = a.quantize(c.w)
 	}
-	n := act.Shape[0]
-	pix := g.OutH() * g.OutW()
-	kDim := g.ColRows()
-	if o.qW == nil {
-		o.qW = a.quantize(o.w)
+	if c.lockID != "" && !c.colsSet {
+		c.cols = a.low.MACColumns(c.lockID, outputs)
+		c.colsSet = true
 	}
-	o.wCodes = a.weightCodes(o.wCodes, o.wKey, o.qW)
-	if o.lockID != "" && !o.colsSet {
-		o.cols = a.low.MACColumns(o.lockID, o.outC*pix)
-		o.colsSet = true
+	if a.onMMU {
+		return
 	}
-	locked := uint64(0)
-	if o.cols != nil {
-		o.mask.refresh(a.mmu, o.cols)
-		locked = o.mask.locked
-	}
-
-	// With stride 1 every input pixel lands in at least one receptive
-	// field (the gathered offsets ky−Pad … InH+Pad−KH+ky−Pad cover
-	// 0 … InH−1 contiguously, and likewise for width), so the column
-	// matrix contains exactly the image's values plus padding zeros and
-	// MaxAbs(col) == MaxAbs(image). That lets the fast path quantize the
-	// C·H·W image once and gather its codes — identical scale, identical
-	// per-value rounding, ~KH·KW× less rounding work — instead of
-	// quantizing the C·KH·KW·OutH·OutW column matrix like the golden path
-	// does. Strided geometries can skip pixels, so they gather first and
-	// quantize the columns in place.
-	col := a.ws.Get(o.bColKey, kDim, pix)
-	var img *tensor.Tensor
-	if g.Stride == 1 {
-		img = a.ws.Get(o.bImgKey, g.InLen())
-	}
-	out := a.ws.Get(o.bOutKey, n, o.outC, g.OutH(), g.OutW())
-	o.bAcc = tensor.EnsureInt32s(o.bAcc, o.outC*pix)
-	sampleIn := g.InLen()
-	sampleOut := o.outC * pix
-	for i := 0; i < n; i++ {
-		// Quantization is per sample — the scale tracks each sample's
-		// dynamic range exactly as the golden path's does, which is what
-		// keeps the two paths bitwise-equal.
-		src := act.Data[i*sampleIn : (i+1)*sampleIn]
-		var scale float64
-		if img != nil {
-			scale = quantizeSlice(img.Data, src, a.bits)
-			tensor.Im2ColSlice(col.Data, img.Data, g)
-		} else {
-			tensor.Im2ColSlice(col.Data, src, g)
-			scale = quantizeSlice(col.Data, col.Data, a.bits)
+	if c.wCodes == nil {
+		c.wCodes = a.ws.Get(c.wKey, len(c.qW.Data))
+		for i, v := range c.qW.Data {
+			c.wCodes.Data[i] = float64(v)
 		}
-		accScale := scale * o.qW.Scale
-		o.bias = QuantizeBiasInto(o.bias, o.b, accScale)
-		// The exact sums land in the sample's output segment; the epilogue
-		// reads them into the int32 accumulators before finishMACSlice
-		// overwrites the segment with the activations.
-		seg := out.Data[i*sampleOut : (i+1)*sampleOut]
-		tensor.MatMulSliceInto(seg, o.wCodes.Data, col.Data, o.outC, kDim, pix)
-		for oc := 0; oc < o.outC; oc++ {
-			row := o.bAcc[oc*pix : (oc+1)*pix]
-			sums := seg[oc*pix : (oc+1)*pix]
-			b := o.bias[oc]
-			if o.cols == nil {
-				for j, v := range sums {
-					row[j] = int32(int64(v)) + b
+	}
+	if c.cols != nil {
+		c.mask.refresh(a.mmu, c.cols)
+	}
+}
+
+// finish completes one sample's MAC into dst, its [m, p] output segment;
+// x holds the sample's input codes [k, p] at scale inScale. On the GEMM, dst
+// already holds the exact sums W·x, and the epilogue adds the bias and
+// applies the lock as a sign mask. On the MMU the codes narrow to int8 and
+// stream through MatMulLockedInto. Either way the activation unit then
+// overwrites dst.
+func (c *macCore) finish(a *Accelerator, dst, x []float64, p int, inScale float64) {
+	accScale := inScale * c.qW.Scale
+	c.bias = QuantizeBiasInto(c.bias, c.b, accScale)
+	if a.onMMU {
+		if cap(c.x8) < len(x) {
+			c.x8 = make([]int8, len(x)) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
+		}
+		c.x8 = c.x8[:len(x)]
+		for i, v := range x {
+			c.x8[i] = int8(v)
+		}
+		c.acc = a.mmu.MatMulLockedInto(c.acc, c.qW.Data, c.m, c.k, c.x8, p, c.bias, c.cols)
+	} else {
+		c.acc = tensor.EnsureInt32s(c.acc, c.m*p)
+		for o := 0; o < c.m; o++ {
+			sums, row, b := dst[o*p:(o+1)*p], c.acc[o*p:(o+1)*p], c.bias[o]
+			var mrow []int32
+			if c.cols != nil {
+				mrow = c.mask.neg[o*p : (o+1)*p]
+			}
+			for j, v := range sums {
+				s := int32(int64(v)) + b
+				if mrow != nil {
+					s = (s ^ mrow[j]) - mrow[j]
 				}
-			} else {
-				mrow := o.mask.neg[oc*pix : (oc+1)*pix]
-				for j, v := range sums {
-					s := int32(int64(v)) + b
-					m := mrow[j]
-					row[j] = (s ^ m) - m
-				}
+				row[j] = s
 			}
 		}
-		a.mmu.accountMatMul(o.outC, kDim, pix, 0, locked)
-		o.q8 = finishMACSlice(seg, o.bAcc, accScale, o.relu, o.q8)
+		a.mmu.accountMatMul(c.m, c.k, p, 0, c.mask.locked)
 	}
-	return out, nil
+	c.q8 = finishMACSlice(dst, c.acc, accScale, c.relu, c.q8)
 }
 
-func (o *denseOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(act.Shape) < 2 {
-		//hpnn:allow(noalloc) cold error path
-		return nil, fmt.Errorf("tpu: batched dense input %v has no batch dimension", act.Shape)
+// wipe zeroes what the op owns that derives from the key or the weights:
+// the sign mask, the int8 weight codes, the BN fold's weights and the
+// accumulator scratch. The widened codes live in the workspace, which
+// Release zeroes as a whole. A w or b the op does not own is the model's
+// tensor and is left alone.
+func (c *macCore) wipe() {
+	c.mask.wipe()
+	if c.qW != nil {
+		clear(c.qW.Data)
 	}
-	n := act.Shape[0]
-	if act.Len() != n*o.in {
-		//hpnn:allow(noalloc) cold error path
-		return nil, fmt.Errorf("tpu: batched dense input %v does not match layer width %d", act.Shape, o.in)
+	if c.ownsWB {
+		clear(c.w.Data)
+		clear(c.b.Data)
 	}
-	if o.qW == nil {
-		o.qW = a.quantize(o.w)
-	}
-	o.wCodes = a.weightCodes(o.wCodes, o.wKey, o.qW)
-	if o.lockID != "" && !o.colsSet {
-		o.cols = a.low.MACColumns(o.lockID, o.out)
-		o.colsSet = true
-	}
-	locked := uint64(0)
-	if o.cols != nil {
-		o.mask.refresh(a.mmu, o.cols)
-		locked = o.mask.locked
-	}
-
-	// Per-sample quantization, then ONE GEMM over the whole micro-batch:
-	// the sample rows' codes times the transposed weight codes, with the
-	// exact sums landing in the output block.
-	x := a.ws.Get(o.bInKey, n, o.in)
-	o.bScales = tensor.EnsureFloats(o.bScales, n)
-	for i := 0; i < n; i++ {
-		o.bScales[i] = quantizeSlice(x.Data[i*o.in:(i+1)*o.in], act.Data[i*o.in:(i+1)*o.in], a.bits)
-	}
-	out := a.ws.Get(o.bOutKey, n, o.out)
-	tensor.MatMulNTSliceInto(out.Data, x.Data, o.wCodes.Data, n, o.in, o.out)
-
-	o.bAcc = tensor.EnsureInt32s(o.bAcc, o.out)
-	for i := 0; i < n; i++ {
-		accScale := o.bScales[i] * o.qW.Scale
-		o.bias = QuantizeBiasInto(o.bias, o.b, accScale)
-		seg := out.Data[i*o.out : (i+1)*o.out]
-		if o.cols == nil {
-			for j, v := range seg {
-				o.bAcc[j] = int32(int64(v)) + o.bias[j]
-			}
-		} else {
-			for j, v := range seg {
-				s := int32(int64(v)) + o.bias[j]
-				m := o.mask.neg[j]
-				o.bAcc[j] = (s ^ m) - m
-			}
-		}
-		a.mmu.accountMatMul(o.out, o.in, 1, 0, locked)
-		o.q8 = finishMACSlice(seg, o.bAcc, accScale, o.relu, o.q8)
-	}
-	return out, nil
-}
-
-// vectorOp and affineOp: the nn vector-unit layers natively handle a
-// leading batch dimension with per-sample workers over disjoint regions,
-// so each sample's result is bitwise-independent of its batch — the batched
-// tier passes the block straight through.
-func (o *vectorOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	return o.layer.Forward(act, false), nil
-}
-
-func (o *affineOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	return o.bn.Forward(act, false), nil
-}
-
-func (o *lockReluOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	out := a.ws.Get(o.bOutKey, act.Shape...)
-	copy(out.Data, act.Data)
-	if o.lockID != "" {
-		n := act.Shape[0]
-		per := act.Len() / maxInt(n, 1)
-		if per != o.neurons {
-			//hpnn:allow(noalloc) cold error path
-			return nil, fmt.Errorf("tpu: lock %s sized %d applied to %d activations per sample", o.lockID, o.neurons, per)
-		}
-		if !o.colsSet {
-			o.cols = a.low.MACColumns(o.lockID, o.neurons)
-			o.colsSet = true
-		}
-		if o.cols != nil {
-			o.mask.refresh(a.mmu, o.cols)
-			for i := 0; i < n; i++ {
-				seg := out.Data[i*per : (i+1)*per]
-				for j, m := range o.mask.neg {
-					if m != 0 {
-						seg[j] = -seg[j]
-					}
-				}
-			}
-		}
-	}
-	if o.relu {
-		for j, v := range out.Data {
-			if v < 0 {
-				out.Data[j] = 0
-			}
-		}
-	}
-	return out, nil
-}
-
-func (o *residualOp) applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	body, err := runOpsBatch(a, o.body, act)
-	if err != nil {
-		return nil, err
-	}
-	skip := act
-	if o.skip != nil {
-		if skip, err = runOpsBatch(a, o.skip, act); err != nil {
-			return nil, err
-		}
-	}
-	if body.Len() != skip.Len() {
-		//hpnn:allow(noalloc) cold error path
-		return nil, fmt.Errorf("tpu: batched residual join mismatch %v vs %v", body.Shape, skip.Shape)
-	}
-	sum := a.ws.Get(o.bSumKey, body.Shape...)
-	for i := range sum.Data {
-		sum.Data[i] = body.Data[i] + skip.Data[i]
-	}
-	return runOpsBatch(a, o.post, sum)
-}
-
-func runOpsBatch(a *Accelerator, ops []planOp, act *tensor.Tensor) (*tensor.Tensor, error) {
-	var err error
-	for _, op := range ops {
-		if act, err = op.applyBatch(a, act); err != nil {
-			return nil, fmt.Errorf("%s: %w", op.opName(), err) //hpnn:allow(noalloc) cold error path
-		}
-	}
-	return act, nil
-}
-
-// --- entry points ------------------------------------------------------------
-
-// PredictBatchInto runs the micro-batch x ([N, C, H, W]) through the model
-// on the batched int8 tier, writing the argmax class of sample i into
-// preds[i]. It is the serving layer's batch entry point: zero heap
-// allocations in steady state, and bit-for-bit the predictions (and
-// hardware counters) the golden per-sample simulator would produce.
-//
-// Diagnostic device modes (GateLevel, Systolic) route through the
-// per-sample simulator so gate-level observability is preserved; results
-// are identical either way.
-//
-//hpnn:noalloc
-func (a *Accelerator) PredictBatchInto(preds []int, m *core.Model, x *tensor.Tensor) error {
-	plan, err := a.planFor(m)
-	if err != nil {
-		return err
-	}
-	if len(x.Shape) < 2 {
-		//hpnn:allow(noalloc) cold error path
-		return fmt.Errorf("tpu: batched input %v has no batch dimension", x.Shape)
-	}
-	n := x.Shape[0]
-	if n == 0 {
-		return nil
-	}
-	if len(preds) < n {
-		//hpnn:allow(noalloc) cold error path
-		return fmt.Errorf("tpu: prediction buffer %d shorter than batch %d", len(preds), n)
-	}
-	if a.mmu.cfg.GateLevel || a.mmu.cfg.Systolic {
-		feat := x.Len() / n
-		for i := 0; i < n; i++ {
-			sample := tensor.ViewInto(&a.sampleView, x.Data[i*feat:(i+1)*feat], x.Shape[1:]...)
-			out, err := runOps(a, plan, sample)
-			if err != nil {
-				return err
-			}
-			preds[i] = tensor.Argmax(out.Data)
-		}
-		return nil
-	}
-	out, err := runOpsBatch(a, plan, x)
-	if err != nil {
-		return err
-	}
-	cls := out.Len() / n
-	for i := 0; i < n; i++ {
-		preds[i] = tensor.Argmax(out.Data[i*cls : (i+1)*cls])
-	}
-	return nil
-}
-
-// PredictBatch is PredictBatchInto allocating the prediction slice.
-func (a *Accelerator) PredictBatch(m *core.Model, x *tensor.Tensor) ([]int, error) {
-	if len(x.Shape) < 2 {
-		return nil, fmt.Errorf("tpu: batched input %v has no batch dimension", x.Shape)
-	}
-	preds := make([]int, x.Shape[0])
-	if err := a.PredictBatchInto(preds, m, x); err != nil {
-		return nil, err
-	}
-	return preds, nil
+	clear(c.acc)
+	clear(c.x8)
+	clear(c.q8)
 }

@@ -15,8 +15,8 @@ import (
 
 // batchFixture is a random model published under a named lock scheme.
 // Random weights are all a bitwise differential needs: the quantized
-// datapath is deterministic, so the batched tier and the golden simulator
-// must agree bit for bit regardless of training.
+// datapath is deterministic, so the GEMM tier and the golden MMU path must
+// agree bit for bit regardless of training.
 type batchFixture struct {
 	model *core.Model
 	dev   *keys.Device
@@ -24,12 +24,17 @@ type batchFixture struct {
 }
 
 func publishRandom(t testing.TB, schemeName string, arch core.Arch, hw int, seed uint64) *batchFixture {
+	return publishConfig(t, schemeName, core.Config{Arch: arch, InC: 1, InH: hw, InW: hw, Classes: 4, Seed: seed})
+}
+
+func publishConfig(t testing.TB, schemeName string, cfg core.Config) *batchFixture {
 	t.Helper()
 	scheme, err := lockscheme.Get(schemeName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := core.MustModel(core.Config{Arch: arch, InC: 1, InH: hw, InW: hw, Classes: 4, Seed: seed})
+	seed := cfg.Seed
+	m := core.MustModel(cfg)
 	key := keys.Generate(rng.New(seed + 1))
 	sched := schedule.New(keys.KeyBits, seed+2)
 	dev := keys.NewDevice("batch-test", key)
@@ -55,6 +60,34 @@ func (f *batchFixture) accel(t testing.TB, cfg Config) *Accelerator {
 	return a
 }
 
+// goldenPredict is the golden oracle: PredictSample, sample by sample.
+func goldenPredict(t testing.TB, a *Accelerator, m *core.Model, x *tensor.Tensor) []int {
+	t.Helper()
+	n := x.Shape[0]
+	feat := x.Len() / n
+	out := make([]int, n)
+	for i := range out {
+		var err error
+		if out[i], err = a.PredictSample(m, tensor.FromSlice(x.Data[i*feat:(i+1)*feat], x.Shape[1:]...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// assertMMUOnly fails if any op of a's plans ran on the GEMM: the golden
+// side must never share the tier it judges.
+func assertMMUOnly(t testing.TB, a *Accelerator) {
+	t.Helper()
+	for _, c := range a.plans {
+		eachOp(c.ops, func(op planOp) {
+			if lm, mc := opMask(op), opMAC(op); lm != nil && lm.built || mc != nil && mc.wCodes != nil {
+				t.Fatalf("golden %s ran on the GEMM tier", op.opName())
+			}
+		})
+	}
+}
+
 // floatBits snapshots a float slice as raw IEEE bits, the strictest
 // possible equality for the differential tests.
 func floatBits(v []float64) []uint64 {
@@ -75,10 +108,10 @@ var batchArchs = []struct {
 }
 
 // TestPredictBatchMatchesGoldenAllSchemes is the heart of the golden-
-// reference contract: for every registered lock scheme and both sequential
-// architectures, every sample of every batch size must reproduce the
-// per-sample simulator's final activations bit for bit — and a full pass
-// over the batch must leave identical hardware counters.
+// reference contract: for every registered lock scheme, both sequential
+// architectures and the 8-, 4- and 2-bit datapaths, every sample of every
+// batch size must reproduce PredictSample's final activations bit for bit —
+// and a full pass over the batch must leave identical hardware counters.
 //
 // The last two samples are extreme. One is scaled by 1e-300, so the first
 // layer's quantized biases saturate at ±MaxInt32 and the int32 sums wrap.
@@ -105,63 +138,65 @@ func TestPredictBatchMatchesGoldenAllSchemes(t *testing.T) {
 				}
 				lone[feat/2+ac.hw/2] = 1e-307
 
-				golden := f.accel(t, DefaultConfig())
-				plan, err := golden.planFor(f.model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := make([][]uint64, n)
-				wantPreds := make([]int, n)
-				for i := 0; i < n; i++ {
-					sample := tensor.FromSlice(x.Data[i*feat:(i+1)*feat], 1, ac.hw, ac.hw)
-					out, err := runOps(golden, plan, sample)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want[i] = floatBits(out.Data)
-					wantPreds[i] = tensor.Argmax(out.Data)
-				}
-				goldenStats := golden.Stats()
-
-				for _, bn := range []int{1, 3, 5, n} {
-					fast := f.accel(t, DefaultConfig())
-					fplan, err := fast.planFor(f.model)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for lo := 0; lo+bn <= n; lo += bn {
-						bx := tensor.FromSlice(x.Data[lo*feat:(lo+bn)*feat], bn, 1, ac.hw, ac.hw)
-						out, err := runOpsBatch(fast, fplan, bx)
-						if err != nil {
-							t.Fatal(err)
+				for _, bits := range []int{8, 4, 2} {
+					t.Run(fmt.Sprintf("bits%d", bits), func(t *testing.T) {
+						cfg := DefaultConfig()
+						cfg.Bits = bits
+						golden := f.accel(t, cfg)
+						want := make([][]uint64, n)
+						wantPreds := make([]int, n)
+						for i := 0; i < n; i++ {
+							out, err := golden.runSample(f.model, tensor.FromSlice(x.Data[i*feat:(i+1)*feat], 1, ac.hw, ac.hw))
+							if err != nil {
+								t.Fatal(err)
+							}
+							want[i] = floatBits(out.Data)
+							wantPreds[i] = tensor.Argmax(out.Data)
 						}
-						per := out.Len() / bn
-						for j := 0; j < bn; j++ {
-							got := floatBits(out.Data[j*per : (j+1)*per])
-							for k := range got {
-								if got[k] != want[lo+j][k] {
-									t.Fatalf("batch %d sample %d: activation %d = %x, golden %x",
-										bn, lo+j, k, got[k], want[lo+j][k])
+						assertMMUOnly(t, golden)
+						goldenStats := golden.Stats()
+
+						for _, bn := range []int{1, 3, 5, n} {
+							fast := f.accel(t, cfg)
+							fplan, err := fast.planFor(f.model)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for lo := 0; lo+bn <= n; lo += bn {
+								bx := tensor.FromSlice(x.Data[lo*feat:(lo+bn)*feat], bn, 1, ac.hw, ac.hw)
+								out, err := runOps(fast, fplan, bx)
+								if err != nil {
+									t.Fatal(err)
+								}
+								per := out.Len() / bn
+								for j := 0; j < bn; j++ {
+									got := floatBits(out.Data[j*per : (j+1)*per])
+									for k := range got {
+										if got[k] != want[lo+j][k] {
+											t.Fatalf("batch %d sample %d: activation %d = %x, golden %x",
+												bn, lo+j, k, got[k], want[lo+j][k])
+										}
+									}
+									if p := tensor.Argmax(out.Data[j*per : (j+1)*per]); p != wantPreds[lo+j] {
+										t.Fatalf("batch %d sample %d: class %d, golden %d", bn, lo+j, p, wantPreds[lo+j])
+									}
 								}
 							}
-							if p := tensor.Argmax(out.Data[j*per : (j+1)*per]); p != wantPreds[lo+j] {
-								t.Fatalf("batch %d sample %d: class %d, golden %d", bn, lo+j, p, wantPreds[lo+j])
+							if bn == n {
+								if got := fast.Stats(); got != goldenStats {
+									t.Fatalf("hardware counters diverge: batched %+v, golden %+v", got, goldenStats)
+								}
 							}
 						}
-					}
-					if bn == n {
-						if got := fast.Stats(); got != goldenStats {
-							t.Fatalf("hardware counters diverge: batched %+v, golden %+v", got, goldenStats)
-						}
-					}
+					})
 				}
 			})
 		}
 	}
 }
 
-// TestPredictBatchMatchesGateLevel pins the batched tier to the gate-level
-// simulator — the repo's root golden reference — through the public entry
+// TestPredictBatchMatchesGateLevel pins the GEMM tier to the gate-level
+// accumulator chain — the repo's root reference — through the public entry
 // points, for every registered scheme.
 func TestPredictBatchMatchesGateLevel(t *testing.T) {
 	gateCfg := Config{Rows: 256, Cols: 256, GateLevel: true}
@@ -180,7 +215,7 @@ func TestPredictBatchMatchesGateLevel(t *testing.T) {
 				t.Fatal("gate-level reference counted no gates")
 			}
 			fast := f.accel(t, DefaultConfig())
-			got, err := fast.PredictBatch(f.model, x)
+			got, err := fast.Predict(f.model, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +238,7 @@ func TestPredictBatchMatchesGateLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast := f.accel(t, DefaultConfig())
-	got, err := fast.PredictBatch(f.model, x)
+	got, err := fast.Predict(f.model, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,24 +249,24 @@ func TestPredictBatchMatchesGateLevel(t *testing.T) {
 	}
 }
 
-// TestPredictBatchGateLevelFallback: diagnostic device modes must route
-// batches through the per-sample simulator (observing every gate), and
-// still answer identically.
+// TestPredictBatchGateLevelFallback: diagnostic device modes must run a
+// batch's MACs on the MMU (observing every gate), and still answer
+// identically.
 func TestPredictBatchGateLevelFallback(t *testing.T) {
 	f := publishRandom(t, lockscheme.DefaultName, core.MLP, 8, 4300)
 	x := tensor.New(3, 1, 8, 8)
 	x.FillUniform(rng.New(4301), -1, 1)
 
 	gate := f.accel(t, Config{Rows: 256, Cols: 256, GateLevel: true})
-	got, err := gate.PredictBatch(f.model, x)
+	got, err := gate.Predict(f.model, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gate.Stats().GateOps == 0 {
-		t.Fatal("gate-level PredictBatch bypassed the bit-level datapath")
+		t.Fatal("gate-level Predict bypassed the bit-level datapath")
 	}
 	fast := f.accel(t, DefaultConfig())
-	want, err := fast.PredictBatch(f.model, x)
+	want, err := fast.Predict(f.model, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +277,9 @@ func TestPredictBatchGateLevelFallback(t *testing.T) {
 	}
 }
 
-// TestPredictBatchResNet18 routes the batched tier through the residual
+// TestPredictBatchResNet18 routes the GEMM tier through the residual
 // lowering — body/skip joins, post-join vector-unit locks, folded batch
-// norms — and demands bitwise agreement with the per-sample simulator.
+// norms, strided convs — and demands bitwise agreement with PredictSample.
 func TestPredictBatchResNet18(t *testing.T) {
 	const n = 3
 	m := core.MustModel(core.Config{Arch: core.ResNet18, InC: 1, InH: 16, InW: 16, WidthScale: 0.125, Seed: 4400})
@@ -259,20 +294,16 @@ func TestPredictBatchResNet18(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := golden.planFor(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	feat := 16 * 16
 	want := make([][]uint64, n)
 	for i := 0; i < n; i++ {
-		sample := tensor.FromSlice(x.Data[i*feat:(i+1)*feat], 1, 16, 16)
-		out, err := runOps(golden, plan, sample)
+		out, err := golden.runSample(m, tensor.FromSlice(x.Data[i*feat:(i+1)*feat], 1, 16, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = floatBits(out.Data)
 	}
+	assertMMUOnly(t, golden)
 
 	fast, err := NewAccelerator(DefaultConfig(), dev, sched)
 	if err != nil {
@@ -282,7 +313,7 @@ func TestPredictBatchResNet18(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runOpsBatch(fast, fplan, x)
+	out, err := runOps(fast, fplan, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +332,7 @@ func TestPredictBatchResNet18(t *testing.T) {
 }
 
 // TestPredictBatchDeterministicAcrossWorkers pins bitwise determinism of
-// the batched tier across worker-pool widths.
+// the GEMM tier across worker-pool widths.
 func TestPredictBatchDeterministicAcrossWorkers(t *testing.T) {
 	const n = 8
 	f := publishRandom(t, lockscheme.DefaultName, core.CNN1, 16, 4500)
@@ -315,14 +346,14 @@ func TestPredictBatchDeterministicAcrossWorkers(t *testing.T) {
 
 	prev := tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(prev)
-	out, err := runOpsBatch(a, plan, x)
+	out, err := runOps(a, plan, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := floatBits(out.Data)
 	for _, w := range []int{2, 8} {
 		tensor.SetMaxWorkers(w)
-		out, err := runOpsBatch(a, plan, x)
+		out, err := runOps(a, plan, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,11 +376,7 @@ func TestPredictBatchPartialAfterSeal(t *testing.T) {
 	x := tensor.New(maxN, 1, 16, 16)
 	x.FillUniform(rng.New(4601), -1, 1)
 
-	golden := f.accel(t, DefaultConfig())
-	want, err := golden.Predict(f.model, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := goldenPredict(t, f.accel(t, DefaultConfig()), f.model, x)
 
 	a := f.accel(t, DefaultConfig())
 	preds := make([]int, maxN)
@@ -418,10 +445,7 @@ func TestPredictBatchRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := golden.Predict(m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := goldenPredict(t, golden, m, x)
 	for i := range want {
 		if preds[i] != want[i] {
 			t.Fatalf("post-revocation sample %d: cached-mask class %d, golden %d", i, preds[i], want[i])
@@ -502,7 +526,7 @@ func TestQuantizeSliceMatchesQuantizeToInto(t *testing.T) {
 }
 
 // FuzzPredictBatch generates random models, schemes and batches, and
-// asserts the batched tier reproduces the simulator's predictions and
+// asserts the GEMM tier reproduces PredictSample's predictions and
 // hardware counters exactly; small MLPs are additionally checked against
 // the gate-level datapath.
 func FuzzPredictBatch(f *testing.F) {
@@ -531,12 +555,9 @@ func FuzzPredictBatch(f *testing.F) {
 		x.FillUniform(rng.New(seed+9), -1, 1)
 
 		golden := fx.accel(t, DefaultConfig())
-		want, err := golden.Predict(fx.model, x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := goldenPredict(t, golden, fx.model, x)
 		fast := fx.accel(t, DefaultConfig())
-		got, err := fast.PredictBatch(fx.model, x)
+		got, err := fast.Predict(fx.model, x)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,8 @@ import (
 // layer's differential harness: several accelerators compiled from ONE
 // shared model (the shard topology of internal/serve) must run concurrently
 // without data races — plan cloning gives every plan its own vector-unit
-// layers and scratch — and produce predictions identical to a serial
-// reference device. Run under -race by scripts/check.sh.
+// layers and scratch — and produce predictions identical to the golden
+// PredictSample reference. Run under -race by scripts/check.sh.
 func TestServeConcurrentAccelerators(t *testing.T) {
 	for _, tc := range []struct {
 		arch core.Arch
@@ -37,10 +37,7 @@ func TestServeConcurrentAccelerators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.Predict(m, x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := goldenPredict(t, ref, m, x)
 
 		const shards = 4
 		got := make([][]int, shards)
@@ -67,7 +64,7 @@ func TestServeConcurrentAccelerators(t *testing.T) {
 			}
 			for i := range want {
 				if got[s][i] != want[i] {
-					t.Fatalf("%s shard %d sample %d: got class %d, serial reference %d",
+					t.Fatalf("%s shard %d sample %d: got class %d, golden %d",
 						arch, s, i, got[s][i], want[i])
 				}
 			}
@@ -75,10 +72,10 @@ func TestServeConcurrentAccelerators(t *testing.T) {
 	}
 }
 
-// TestPredictSampleMatchesPredict pins the serving entry point to the
-// batched API: per-sample inference through PredictSample must agree
-// bit-for-bit with Predict over the same data, and must allocate nothing
-// once warmed and sealed.
+// TestPredictSampleMatchesPredict pins the golden entry point to the GEMM
+// tier's public API: per-sample inference through PredictSample must agree
+// with Predict over the same data, and must allocate nothing once warmed
+// and sealed.
 func TestPredictSampleMatchesPredict(t *testing.T) {
 	m := core.MustModel(core.Config{Arch: core.CNN1, InC: 1, InH: 16, InW: 16, Classes: 5, Seed: 21})
 	key := keys.Generate(rng.New(22))

@@ -33,11 +33,25 @@ type Accelerator struct {
 	low    lockscheme.Lowering
 	bits   int
 
-	plans map[*core.Model][]planOp
-	// ws holds every compiled op's activation buffers, keyed per op at
-	// compile time; sampleView is the reused per-sample input header.
-	ws         *tensor.Workspace
-	sampleView tensor.Tensor
+	plans map[*core.Model]compiled
+	// ws holds every compiled op's output buffer and widened weight codes,
+	// keyed per op at compile time, plus the dead-after-return input
+	// scratch under accelerator-wide keys.
+	ws *tensor.Workspace
+	// onMMU routes the current run's MACs through the simulated MMU
+	// instead of the GEMM (batch.go); each entry point sets it.
+	onMMU bool
+	// sampleShape and sampleView are PredictSample's reused [1, ...] header.
+	sampleShape []int
+	sampleView  tensor.Tensor
+}
+
+// compiled is one lowered model: its ops, and the device-private clone a
+// weight-space scheme unlocked for them (nil when the ops run on the
+// published model's own tensors). Release zeroes the clone.
+type compiled struct {
+	ops   []planOp
+	clone *core.Model
 }
 
 // NewAccelerator builds a trusted device simulator lowering the default
@@ -73,7 +87,7 @@ func NewAcceleratorFor(scheme lockscheme.Scheme, cfg Config, dev *keys.Device, s
 	return &Accelerator{
 		mmu: mmu, sched: sched, bits: bits,
 		scheme: scheme, low: scheme.Lowering(dev, sched),
-		plans: make(map[*core.Model][]planOp),
+		plans: make(map[*core.Model]compiled),
 		ws:    tensor.NewWorkspace(),
 	}, nil
 }
@@ -93,31 +107,33 @@ func (a *Accelerator) quantize(t *tensor.Tensor) *QTensor { return QuantizeTo(t,
 // planFor returns the compiled plan for m, lowering it on first use. The
 // scheme's compile-time hooks run here: the model's scheme stamp must match
 // the accelerator's, and weight-space schemes get their device-private
-// unlocked clone before lowering (the clone stays alive through the plan's
-// weight references; the published model m remains the map key and is never
-// mutated).
+// unlocked clone before lowering (the clone is kept beside the plan for
+// Release; the published model m remains the map key and is never mutated).
 func (a *Accelerator) planFor(m *core.Model) ([]planOp, error) {
-	plan, ok := a.plans[m]
+	c, ok := a.plans[m]
 	if !ok {
 		if got := lockscheme.Canonical(m.Scheme); got != a.scheme.Name() {
 			//hpnn:allow(noalloc) cold error path: scheme mismatch rejected at first compile
 			return nil, fmt.Errorf("tpu: model published under scheme %q cannot run on a %q accelerator", got, a.scheme.Name())
 		}
 		//hpnn:allow(noalloc) compile-once lowering; weight-space schemes clone/unlock here, before serving starts
-		exec, err := a.low.UnlockModel(m)
+		clone, err := a.low.UnlockModel(m)
 		if err != nil {
 			return nil, err
 		}
-		if exec == nil {
-			exec = m
+		exec := m
+		if clone != nil {
+			exec = clone
 		}
 		//hpnn:allow(noalloc) compile-once lowering; Compile runs it eagerly before serving starts
-		if plan, err = compileModel(a, exec); err != nil {
+		ops, err := compileModel(a, exec)
+		if err != nil {
 			return nil, err
 		}
-		a.plans[m] = plan
+		c = compiled{ops: ops, clone: clone}
+		a.plans[m] = c
 	}
-	return plan, nil
+	return c.ops, nil
 }
 
 // Compile eagerly lowers m for execution on this device, so the first
@@ -140,82 +156,147 @@ func (a *Accelerator) Seal() { a.ws.Seal() }
 // WorkspaceSealed reports whether Seal has frozen the workspace.
 func (a *Accelerator) WorkspaceSealed() bool { return a.ws.Sealed() }
 
-// Release drops every compiled plan and the activation workspace, returning
-// the device's memory (activation arenas, quantized weight caches, cloned
-// vector-unit layers) to the garbage collector and lifting any seal. It is
-// the eviction hook of the multi-tenant serving registry: a released device
-// is empty but fully reusable — the next Compile/Predict lowers from
-// scratch, exactly like a fresh accelerator. Not safe to call concurrently
-// with an inference on the same device.
-// Release also zeroes every key-derived cache the dropped plans hold (the
-// lock-bit sign masks of the batched tier), so an evicted tenant leaves no
-// key residue behind for the next occupant of the device.
+// Release drops every compiled plan and the workspace, returning the
+// device's memory (output buffers, weight codes, cloned vector-unit layers)
+// to the garbage collector and lifting any seal. It is the eviction hook of
+// the multi-tenant serving registry: a released device is empty but fully
+// reusable — the next Compile/Predict lowers from scratch, exactly like a
+// fresh accelerator. Not safe to call concurrently with an inference on the
+// same device.
+//
+// Before dropping anything, Release zeroes what the device owns, so an
+// evicted tenant leaves neither key bits nor plaintext weights behind for
+// the next occupant: every op's sign mask, int8 weight codes and
+// accumulator scratch (residual blocks included), the BN-folded weights,
+// every parameter of a weight-space scheme's unlocked clone, and every
+// workspace buffer (the widened codes and the activations). It never writes
+// the published model: without a BN fold the hpnn-xor plan's float weights
+// are the published tensors, shared by every shard.
 func (a *Accelerator) Release() {
 	//hpnn:allow(determinism) order-independent full clear (the compiler's map-clear idiom)
-	for m, plan := range a.plans {
-		for _, op := range plan {
-			wipeOpKeyMaterial(op)
+	for m, c := range a.plans {
+		wipeOps(c.ops)
+		if c.clone != nil {
+			for _, p := range c.clone.Net.Params() {
+				clear(p.Value.Data)
+			}
 		}
 		delete(a.plans, m)
 	}
 	a.ws.Reset()
 }
 
-// wipeOpKeyMaterial zeroes the key-derived state a compiled op caches.
-// Only the ops that consult the device's key bits carry a lockMask; the
-// purely arithmetic ops (vector, affine, pooling) hold nothing derived
-// from the key.
-func wipeOpKeyMaterial(op planOp) {
-	switch o := op.(type) {
-	case *convOp:
-		o.mask.wipe()
-	case *denseOp:
-		o.mask.wipe()
-	case *lockReluOp:
-		o.mask.wipe()
+// wipeOps zeroes the key- and weight-derived state of compiled ops,
+// descending into residual blocks. The vector ops hold nothing derived
+// from either.
+func wipeOps(ops []planOp) {
+	for _, op := range ops {
+		switch o := op.(type) {
+		case *convOp:
+			o.wipe()
+		case *denseOp:
+			o.wipe()
+		case *lockReluOp:
+			o.mask.wipe()
+		case *residualOp:
+			wipeOps(o.body)
+			wipeOps(o.skip)
+			wipeOps(o.post)
+		}
 	}
 }
 
 // WorkspaceBytes reports the bytes held by the device's workspace: the
-// compiled ops' activation buffers plus the batched tier's float64 weight
-// codes — the per-shard memory cost of the serving layer.
+// compiled ops' output buffers, the shared input scratch and the GEMM's
+// float64 weight codes — the per-shard memory cost of the serving layer.
 func (a *Accelerator) WorkspaceBytes() int { return a.ws.Bytes() }
 
 // PredictSample runs a single sample x ([C, H, W] — no batch dimension)
-// through the model and returns its argmax class. It is the per-request
-// entry point of the serving layer: unlike Predict it returns no slice and
-// performs zero heap allocations in steady state.
+// through the model as a batch of one and returns its argmax class. Every
+// MAC runs on the simulated MMU, so this is the golden reference the GEMM
+// tier is pinned to (batch.go). It performs zero heap allocations in steady
+// state.
 //
 //hpnn:noalloc
 func (a *Accelerator) PredictSample(m *core.Model, x *tensor.Tensor) (int, error) {
-	plan, err := a.planFor(m)
-	if err != nil {
-		return -1, err
-	}
-	out, err := runOps(a, plan, x)
+	out, err := a.runSample(m, x)
 	if err != nil {
 		return -1, err
 	}
 	return tensor.Argmax(out.Data), nil
 }
 
-// Predict runs x ([N, C, H, W]) through the model on the simulated
-// hardware and returns the argmax class per sample.
-func (a *Accelerator) Predict(m *core.Model, x *tensor.Tensor) ([]int, error) {
+// runSample is PredictSample's datapath, returning the final activations.
+//
+//hpnn:noalloc
+func (a *Accelerator) runSample(m *core.Model, x *tensor.Tensor) (*tensor.Tensor, error) {
 	plan, err := a.planFor(m)
 	if err != nil {
 		return nil, err
 	}
+	a.sampleShape = append(a.sampleShape[:0], 1)
+	a.sampleShape = append(a.sampleShape, x.Shape...) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
+	a.onMMU = true
+	return runOps(a, plan, tensor.ViewInto(&a.sampleView, x.Data, a.sampleShape...))
+}
+
+// PredictBatchInto runs the micro-batch x ([N, C, H, W]) through the model,
+// writing the argmax class of sample i into preds[i]. It is the serving
+// layer's batch entry point: zero heap allocations in steady state, and
+// bit-for-bit the predictions (and hardware counters) PredictSample would
+// produce. The MACs run on the GEMM, or on the MMU in the diagnostic device
+// modes (GateLevel, Systolic), which must observe every gate evaluation.
+//
+//hpnn:noalloc
+func (a *Accelerator) PredictBatchInto(preds []int, m *core.Model, x *tensor.Tensor) error {
+	plan, err := a.planFor(m)
+	if err != nil {
+		return err
+	}
+	if len(x.Shape) < 2 {
+		//hpnn:allow(noalloc) cold error path
+		return fmt.Errorf("tpu: batched input %v has no batch dimension", x.Shape)
+	}
+	n := x.Shape[0]
+	if n == 0 {
+		return nil
+	}
+	if len(preds) < n {
+		//hpnn:allow(noalloc) cold error path
+		return fmt.Errorf("tpu: prediction buffer %d shorter than batch %d", len(preds), n)
+	}
+	a.onMMU = a.mmu.cfg.GateLevel || a.mmu.cfg.Systolic
+	out, err := runOps(a, plan, x)
+	if err != nil {
+		return err
+	}
+	cls := out.Len() / n
+	for i := 0; i < n; i++ {
+		preds[i] = tensor.Argmax(out.Data[i*cls : (i+1)*cls])
+	}
+	return nil
+}
+
+// predictChunk is the batch Predict hands PredictBatchInto at a time —
+// serving's default MaxBatch — so a whole test set never sizes the
+// workspace.
+const predictChunk = 8
+
+// Predict runs x ([N, C, H, W]) through the model, predictChunk samples
+// at a time through PredictBatchInto, and returns the argmax class per
+// sample.
+func (a *Accelerator) Predict(m *core.Model, x *tensor.Tensor) ([]int, error) {
 	n := x.Shape[0]
 	feat := x.Len() / maxInt(n, 1)
 	preds := make([]int, n)
-	for i := 0; i < n; i++ {
-		sample := tensor.ViewInto(&a.sampleView, x.Data[i*feat:(i+1)*feat], x.Shape[1:]...)
-		out, err := runOps(a, plan, sample)
-		if err != nil {
+	shape := append([]int{0}, x.Shape[1:]...)
+	var chunk tensor.Tensor
+	for lo := 0; lo < n; lo += predictChunk {
+		shape[0] = minI(predictChunk, n-lo)
+		tensor.ViewInto(&chunk, x.Data[lo*feat:(lo+shape[0])*feat], shape...)
+		if err := a.PredictBatchInto(preds[lo:], m, &chunk); err != nil {
 			return nil, err
 		}
-		preds[i] = tensor.Argmax(out.Data)
 	}
 	return preds, nil
 }

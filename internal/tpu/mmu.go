@@ -91,7 +91,7 @@ func (m *MMU) columnBit(col int) byte {
 }
 
 // deviceRevoked reports whether the attached device's license has been
-// pulled. The batched engine caches per-output sign masks derived from
+// pulled. The GEMM tier caches per-output sign masks derived from
 // ColumnBit, and revocation is the only event that changes those answers
 // at runtime — so one revocation probe per op per batch keeps the cache
 // honest without re-querying every column bit per output.
@@ -116,8 +116,8 @@ func (m *MMU) MatMulLocked(w []int8, mRows, k int, x []int8, p int, bias []int32
 
 // MatMulLockedInto is MatMulLocked writing the accumulator outputs into dst
 // (grown as needed and returned). Compiled plan ops keep one accumulator
-// buffer per op, so steady-state inference — one sample per request on a
-// serving shard — performs no MMU-side allocation.
+// buffer per op, so a steady-state PredictSample — every MAC on this
+// unit — performs no MMU-side allocation.
 func (m *MMU) MatMulLockedInto(dst []int32, w []int8, mRows, k int, x []int8, p int, bias []int32, cols []int) []int32 {
 	if len(w) != mRows*k {
 		panic(fmt.Sprintf("tpu: weight buffer %d != %d×%d", len(w), mRows, k))

@@ -9,39 +9,51 @@ import (
 	"hpnn/internal/tensor"
 )
 
-// This file is the accelerator's model compiler: it lowers a trained
-// network into a sequence of hardware operations before execution.
+// This file is the accelerator's model compiler and its executor: it lowers
+// a trained network into a sequence of hardware operations, each of which
+// runs over a [N, ...] activation block (a single sample is a batch of one).
 //
 //   - Conv2D/Dense (+ following BatchNorm, Lock, ReLU) fuse into one MAC
 //     operation: batch-norm parameters fold into the weights and bias
 //     (standard inference-time folding), the lock rides the accumulator
 //     key bits and ReLU runs on the activation unit.
-//   - Pooling/flatten run on the vector unit.
+//   - Pooling, flatten and a standalone batch-norm run on the vector unit.
 //   - Residual blocks compile recursively; the join is an elementwise add
 //     on the vector unit, and the block's post Lock+ReLU becomes a
 //     vector-unit lock (the same XOR-negation gates, placed on the
 //     activation unit's input bus).
 //
-// Ops are stateful: each owns its activation scratch, drawn from the
+// Only the MAC step branches on the backend (batch.go): the float GEMM over
+// int8 codes with the lock as a sign-mask epilogue, or the simulated MMU
+// when the run is on it (PredictSample, GateLevel, Systolic).
+//
+// Ops are stateful: each owns its output buffer, drawn from the
 // accelerator's Workspace under a key assigned at compile time (unique
 // within a plan, so no two live ops ever share a buffer), plus cached
-// quantized weights and column assignments. After the first sample a
-// steady-state inference reuses every buffer, which is what makes the
-// per-bit-trial queries of the attack experiments cheap.
+// quantized weights and column assignments. Input scratch that is dead once
+// its op returns (the column matrix, the image codes, the dense input
+// codes) lives under accelerator-wide keys: a device runs one inference at
+// a time. After the first batch a steady-state inference reuses every
+// buffer, which is what makes the per-bit-trial queries of the attack
+// experiments cheap.
 //
 // This is what lets the full ResNet-18 of Fig. 3/Fig. 5 execute on the
 // simulated device, not just the sequential CNNs of Table I.
 
-// planOp is one compiled accelerator operation. apply is the golden
-// per-sample path through the simulated MMU; applyBatch is the production
-// batched tier (batch.go), which executes the same plan over a [N, ...]
-// activation block — its MACs on the float GEMM over int8 codes — and must
-// match apply bitwise, sample for sample.
+// planOp is one compiled accelerator operation: run executes it over a
+// [N, ...] activation block and returns the op's output block.
 type planOp interface {
-	apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error)
-	applyBatch(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error)
+	run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error)
 	opName() string
 }
+
+// Workspace keys of the dead-after-return input scratch, shared by every op
+// of every plan on a device.
+const (
+	colKey = "conv.col" // the gathered column matrix, quantized in place
+	imgKey = "conv.img" // stride-1 shortcut: the image's codes
+	inKey  = "dense.in" // the dense input's codes
+)
 
 // planCompiler assigns workspace keys while lowering; prefix keeps keys
 // from different compilations on one accelerator distinct.
@@ -75,7 +87,7 @@ func (c *planCompiler) compile(net *nn.Network) ([]planOp, error) {
 		case *nn.MaxPool, *nn.AvgPool, *nn.GlobalAvgPool, *nn.Flatten:
 			ops = append(ops, &vectorOp{layer: cloneVectorLayer(layers[i])})
 		case *nn.ReLU:
-			ops = append(ops, &lockReluOp{relu: true, outKey: c.key("relu"), bOutKey: c.key("relu.b")})
+			ops = append(ops, &lockReluOp{relu: true, outKey: c.key("relu")})
 		case *nn.Lock:
 			relu := false
 			if i+1 < len(layers) {
@@ -85,12 +97,12 @@ func (c *planCompiler) compile(net *nn.Network) ([]planOp, error) {
 				}
 			}
 			ops = append(ops, &lockReluOp{
-				lockID: l.ID, neurons: l.Neurons(), relu: relu,
-				outKey: c.key("lockrelu"), bOutKey: c.key("lockrelu.b"),
+				lockID: l.ID, neurons: l.Neurons(), relu: relu, outKey: c.key("lockrelu"),
 			})
 		case *nn.BatchNorm2D:
-			// Standalone BN (not behind a conv): eval-mode affine.
-			ops = append(ops, &affineOp{bn: cloneBatchNorm(l)})
+			// Standalone BN (not behind a conv): eval-mode affine on the
+			// vector unit.
+			ops = append(ops, &vectorOp{layer: cloneBatchNorm(l)})
 		case *nn.Residual:
 			body, err := c.compile(l.Body)
 			if err != nil {
@@ -106,7 +118,7 @@ func (c *planCompiler) compile(net *nn.Network) ([]planOp, error) {
 			if err != nil {
 				return nil, err
 			}
-			ops = append(ops, &residualOp{body: body, skip: skip, post: post, sumKey: c.key("ressum"), bSumKey: c.key("ressum.b")})
+			ops = append(ops, &residualOp{body: body, skip: skip, post: post, sumKey: c.key("ressum")})
 		default:
 			return nil, fmt.Errorf("tpu: layer %s is not supported on the accelerator datapath", layers[i].Name())
 		}
@@ -132,10 +144,8 @@ func (c *planCompiler) fuseMAC(layers []nn.Layer, i int) (planOp, int, error) {
 		consumed++
 	}
 	var lockID string
-	var lockN int
 	if l, ok := next().(*nn.Lock); ok {
 		lockID = l.ID
-		lockN = l.Neurons()
 		consumed++
 	}
 	relu := false
@@ -147,25 +157,20 @@ func (c *planCompiler) fuseMAC(layers []nn.Layer, i int) (planOp, int, error) {
 	switch mac := layers[i].(type) {
 	case *nn.Conv2D:
 		w, b := foldBN(mac.W.Value, mac.B.Value, mac.OutC, bn)
-		return &convOp{
-			geom: mac.Geom, outC: mac.OutC,
-			w: w, b: b,
-			lockID: lockID, lockN: lockN, relu: relu,
-			colKey: c.key("conv.col"), outKey: c.key("conv.out"),
-			bColKey: c.key("conv.bcol"), bOutKey: c.key("conv.bout"),
-			bImgKey: c.key("conv.bimg"), wKey: c.key("conv.wcodes"),
-		}, consumed, nil
+		return &convOp{geom: mac.Geom, macCore: macCore{
+			w: w, b: b, m: mac.OutC, k: mac.Geom.ColRows(),
+			lockID: lockID, relu: relu, ownsWB: bn != nil,
+			outKey: c.key("conv.out"), wKey: c.key("conv.wcodes"),
+		}}, consumed, nil
 	case *nn.Dense:
 		if bn != nil {
 			return nil, 0, fmt.Errorf("tpu: BatchNorm2D after Dense is not supported")
 		}
-		return &denseOp{
-			in: mac.In, out: mac.Out,
-			w: mac.W.Value, b: mac.B.Value,
-			lockID: lockID, lockN: lockN, relu: relu,
-			outKey: c.key("dense.out"), bOutKey: c.key("dense.bout"),
-			bInKey: c.key("dense.bin"), wKey: c.key("dense.wcodes"),
-		}, consumed, nil
+		return &denseOp{macCore: macCore{
+			w: mac.W.Value, b: mac.B.Value, m: mac.Out, k: mac.In,
+			lockID: lockID, relu: relu,
+			outKey: c.key("dense.out"), wKey: c.key("dense.wcodes"),
+		}}, consumed, nil
 	default:
 		return nil, 0, fmt.Errorf("tpu: fuseMAC on non-MAC layer %s", layers[i].Name())
 	}
@@ -226,129 +231,108 @@ func foldBN(w, b *tensor.Tensor, outC int, bn *nn.BatchNorm2D) (*tensor.Tensor, 
 
 // --- ops ---------------------------------------------------------------------
 
-// convOp is a fused convolution (+BN) (+lock) (+ReLU) on the MMU.
+// convOp is a fused convolution (+BN) (+lock) (+ReLU): per sample, W[OutC,
+// C·KH·KW] times the sample's column matrix [C·KH·KW, OutH·OutW].
 type convOp struct {
-	geom   tensor.ConvGeom
-	outC   int
-	w, b   *tensor.Tensor
-	lockID string
-	lockN  int
-	relu   bool
-
-	colKey, outKey string
-	qW             *QTensor // weights quantize once; cached on first apply
-	qIn            *QTensor
-	bias           []int32
-	cols           []int
-	colsSet        bool // scheme lowering answered (nil = no in-datapath lock)
-	q8             []int8
-	acc            []int32
-
-	// Batched-tier state (batch.go). Separate workspace keys from the
-	// per-sample path so either entry point can be warmed and sealed
-	// independently of the other.
-	bColKey, bOutKey string
-	bImgKey          string         // stride-1 fast path: the image's codes
-	wKey             string         // the weight codes widened to float64
-	wCodes           *tensor.Tensor // workspace buffer under wKey
-	bAcc             []int32
-	mask             lockMask
+	geom tensor.ConvGeom
+	macCore
 }
 
 func (o *convOp) opName() string { return "conv" }
 
-func (o *convOp) apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
+func (o *convOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
 	g := o.geom
-	if len(act.Shape) != 3 || act.Shape[0] != g.InC || act.Shape[1] != g.InH || act.Shape[2] != g.InW {
+	if len(act.Shape) != 4 || act.Shape[1] != g.InC || act.Shape[2] != g.InH || act.Shape[3] != g.InW {
+		//hpnn:allow(noalloc) cold error path
 		return nil, fmt.Errorf("tpu: conv input %v does not match geometry %+v", act.Shape, g)
 	}
-	pix := g.OutH() * g.OutW()
-	col := a.ws.Get(o.colKey, g.ColRows(), pix)
-	tensor.Im2ColInto(col, act, g)
-	o.qIn = QuantizeToInto(o.qIn, col, a.bits)
-	if o.qW == nil {
-		o.qW = a.quantize(o.w)
-	}
-	accScale := o.qIn.Scale * o.qW.Scale
-	o.bias = QuantizeBiasInto(o.bias, o.b, accScale)
+	n, pix := act.Shape[0], g.OutH()*g.OutW()
+	o.prepare(a, o.m*pix)
+	out := a.ws.Get(o.outKey, n, o.m, g.OutH(), g.OutW())
+	col := a.ws.Get(colKey, o.k, pix)
 
-	if o.lockID != "" && !o.colsSet {
-		o.cols = a.low.MACColumns(o.lockID, o.outC*pix)
-		o.colsSet = true
+	// With stride 1 every input pixel lands in at least one receptive
+	// field (the gathered offsets ky−Pad … InH+Pad−KH+ky−Pad cover
+	// 0 … InH−1 contiguously, and likewise for width), so the column
+	// matrix contains exactly the image's values plus padding zeros and
+	// MaxAbs(col) == MaxAbs(image). That lets the GEMM quantize the C·H·W
+	// image once and gather its codes — identical scale, identical
+	// per-value rounding, ~KH·KW× less rounding work. Strided geometries
+	// can skip pixels, so they gather first and quantize the columns in
+	// place. The MMU always does the latter, as the hardware would, so the
+	// reference shares nothing with the shortcut.
+	var img *tensor.Tensor
+	if g.Stride == 1 && !a.onMMU {
+		img = a.ws.Get(imgKey, g.InLen())
 	}
-	o.acc = a.mmu.MatMulLockedInto(o.acc, o.qW.Data, o.outC, g.InC*g.KH*g.KW, o.qIn.Data, pix, o.bias, o.cols)
-	out := a.ws.Get(o.outKey, o.outC, g.OutH(), g.OutW())
-	o.q8 = finishMACInto(out, o.acc, accScale, o.relu, o.q8)
+	in, per := g.InLen(), o.m*pix
+	for i := 0; i < n; i++ {
+		// Quantization is per sample: the scale tracks each sample's
+		// dynamic range whatever batch it arrives in.
+		src := act.Data[i*in : (i+1)*in]
+		var scale float64
+		if img != nil {
+			scale = quantizeSlice(img.Data, src, a.bits)
+			tensor.Im2ColSlice(col.Data, img.Data, g)
+		} else {
+			tensor.Im2ColSlice(col.Data, src, g)
+			scale = quantizeSlice(col.Data, col.Data, a.bits)
+		}
+		seg := out.Data[i*per : (i+1)*per]
+		if !a.onMMU {
+			tensor.MatMulSliceInto(seg, o.wCodes.Data, col.Data, o.m, o.k, pix)
+		}
+		o.finish(a, seg, col.Data, pix, scale)
+	}
 	return out, nil
 }
 
-// denseOp is a fused fully-connected (+lock) (+ReLU) on the MMU.
+// denseOp is a fused fully-connected (+lock) (+ReLU): W[Out, In] times each
+// sample's input codes.
 type denseOp struct {
-	in, out int
-	w, b    *tensor.Tensor
-	lockID  string
-	lockN   int
-	relu    bool
-
-	outKey  string
-	qW      *QTensor
-	qIn     *QTensor
-	bias    []int32
-	cols    []int
-	colsSet bool
-	q8      []int8
-	acc     []int32
-
-	// Batched-tier state (batch.go).
-	bOutKey string
-	bInKey  string         // the batch's input codes
-	wKey    string         // the weight codes widened to float64
-	wCodes  *tensor.Tensor // workspace buffer under wKey
-	bAcc    []int32
-	bScales []float64
-	mask    lockMask
+	macCore
+	scales []float64 // per-sample input scales
 }
 
 func (o *denseOp) opName() string { return "dense" }
 
-func (o *denseOp) apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	if act.Len() != o.in {
-		return nil, fmt.Errorf("tpu: dense input %d does not match layer width %d", act.Len(), o.in)
+func (o *denseOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
+	if len(act.Shape) < 2 || act.Len() != act.Shape[0]*o.k {
+		//hpnn:allow(noalloc) cold error path
+		return nil, fmt.Errorf("tpu: dense input %v does not match layer width %d", act.Shape, o.k)
 	}
-	o.qIn = QuantizeToInto(o.qIn, act, a.bits)
-	if o.qW == nil {
-		o.qW = a.quantize(o.w)
+	n := act.Shape[0]
+	o.prepare(a, o.m)
+	// Per-sample quantization, then on the GEMM ONE product over the whole
+	// micro-batch: the sample rows' codes times the transposed weight
+	// codes, with the exact sums landing in the output block.
+	x := a.ws.Get(inKey, n, o.k)
+	o.scales = tensor.EnsureFloats(o.scales, n)
+	for i := 0; i < n; i++ {
+		o.scales[i] = quantizeSlice(x.Data[i*o.k:(i+1)*o.k], act.Data[i*o.k:(i+1)*o.k], a.bits)
 	}
-	accScale := o.qIn.Scale * o.qW.Scale
-	o.bias = QuantizeBiasInto(o.bias, o.b, accScale)
-
-	if o.lockID != "" && !o.colsSet {
-		o.cols = a.low.MACColumns(o.lockID, o.out)
-		o.colsSet = true
+	out := a.ws.Get(o.outKey, n, o.m)
+	if !a.onMMU {
+		tensor.MatMulNTSliceInto(out.Data, x.Data, o.wCodes.Data, n, o.k, o.m)
 	}
-	o.acc = a.mmu.MatMulLockedInto(o.acc, o.qW.Data, o.out, o.in, o.qIn.Data, 1, o.bias, o.cols)
-	out := a.ws.Get(o.outKey, o.out)
-	o.q8 = finishMACInto(out, o.acc, accScale, o.relu, o.q8)
+	for i := 0; i < n; i++ {
+		o.finish(a, out.Data[i*o.m:(i+1)*o.m], x.Data[i*o.k:(i+1)*o.k], 1, o.scales[i])
+	}
 	return out, nil
 }
 
-// vectorOp runs a stateless pooling/reshape layer on the vector unit. The
-// batched/unbatched tensor headers are cached views over existing data, and
-// the nn layer underneath owns its own reusable scratch.
-type vectorOp struct {
-	layer              nn.Layer
-	shape              []int
-	batched, unbatched tensor.Tensor
-}
+// vectorOp runs a pooling/reshape layer, or a standalone eval-mode
+// batch-norm (rare: only when a BN is not preceded by a conv), on the vector
+// unit. The nn layers natively handle the leading batch dimension with
+// per-sample workers over disjoint regions, so each sample's result is
+// bitwise-independent of its batch; each layer owns its own reusable
+// scratch.
+type vectorOp struct{ layer nn.Layer }
 
 func (o *vectorOp) opName() string { return "vector:" + o.layer.Name() }
 
-func (o *vectorOp) apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	o.shape = append(o.shape[:0], 1)
-	o.shape = append(o.shape, act.Shape...)
-	batched := tensor.ViewInto(&o.batched, act.Data, o.shape...)
-	out := o.layer.Forward(batched, false)
-	return tensor.ViewInto(&o.unbatched, out.Data, out.Shape[1:]...), nil
+func (o *vectorOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
+	return o.layer.Forward(act, false), nil
 }
 
 // lockReluOp applies a standalone lock (XOR-negation on the vector unit's
@@ -361,32 +345,36 @@ type lockReluOp struct {
 	outKey  string
 	cols    []int
 	colsSet bool
-
-	// Batched-tier state (batch.go).
-	bOutKey string
 	mask    lockMask
 }
 
 func (o *lockReluOp) opName() string { return "lockrelu" }
 
-func (o *lockReluOp) apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
+func (o *lockReluOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
 	out := a.ws.Get(o.outKey, act.Shape...)
 	copy(out.Data, act.Data)
 	if o.lockID != "" {
-		if act.Len() != o.neurons {
-			return nil, fmt.Errorf("tpu: lock %s sized %d applied to %d activations", o.lockID, o.neurons, act.Len())
+		if per := act.Len() / maxInt(act.Shape[0], 1); per != o.neurons {
+			//hpnn:allow(noalloc) cold error path
+			return nil, fmt.Errorf("tpu: lock %s sized %d applied to %d activations per sample", o.lockID, o.neurons, per)
 		}
 		if !o.colsSet {
 			o.cols = a.low.MACColumns(o.lockID, o.neurons)
 			o.colsSet = true
 		}
 		// A nil assignment means the scheme places no lock on this bus
-		// (weight-space schemes protect parameters, not activations).
-		if o.cols != nil {
-			for j := range out.Data {
-				if a.mmu.columnBit(o.cols[j]) == 1 {
-					out.Data[j] = -out.Data[j]
-				}
+		// (weight-space schemes protect parameters, not activations). On
+		// the MMU each key bit comes from the device's column probe, on the
+		// GEMM from the op's cached sign mask.
+		if o.cols != nil && !a.onMMU {
+			o.mask.refresh(a.mmu, o.cols)
+		}
+		for j, c := range o.cols {
+			if a.onMMU && a.mmu.columnBit(c) == 0 || !a.onMMU && o.mask.neg[j] == 0 {
+				continue
+			}
+			for i := j; i < len(out.Data); i += o.neurons {
+				out.Data[i] = -out.Data[i]
 			}
 		}
 	}
@@ -400,35 +388,16 @@ func (o *lockReluOp) apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, 
 	return out, nil
 }
 
-// affineOp is a standalone eval-mode batch-norm (rare: only when a BN is
-// not preceded by a conv).
-type affineOp struct {
-	bn                 *nn.BatchNorm2D
-	shape              []int
-	batched, unbatched tensor.Tensor
-}
-
-func (o *affineOp) opName() string { return "affine" }
-
-func (o *affineOp) apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	o.shape = append(o.shape[:0], 1)
-	o.shape = append(o.shape, act.Shape...)
-	batched := tensor.ViewInto(&o.batched, act.Data, o.shape...)
-	out := o.bn.Forward(batched, false)
-	return tensor.ViewInto(&o.unbatched, out.Data, out.Shape[1:]...), nil
-}
-
 // residualOp executes a compiled residual block: body and skip paths, an
 // elementwise join on the vector unit, then the post ops.
 type residualOp struct {
 	body, skip, post []planOp
 	sumKey           string
-	bSumKey          string
 }
 
 func (o *residualOp) opName() string { return "residual" }
 
-func (o *residualOp) apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
+func (o *residualOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
 	body, err := runOps(a, o.body, act)
 	if err != nil {
 		return nil, err
@@ -440,6 +409,7 @@ func (o *residualOp) apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, 
 		}
 	}
 	if body.Len() != skip.Len() {
+		//hpnn:allow(noalloc) cold error path
 		return nil, fmt.Errorf("tpu: residual join mismatch %v vs %v", body.Shape, skip.Shape)
 	}
 	sum := a.ws.Get(o.sumKey, body.Shape...)
@@ -452,24 +422,17 @@ func (o *residualOp) apply(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, 
 func runOps(a *Accelerator, ops []planOp, act *tensor.Tensor) (*tensor.Tensor, error) {
 	var err error
 	for _, op := range ops {
-		if act, err = op.apply(a, act); err != nil {
+		if act, err = op.run(a, act); err != nil {
 			return nil, fmt.Errorf("%s: %w", op.opName(), err) //hpnn:allow(noalloc) cold error path
 		}
 	}
 	return act, nil
 }
 
-// finishMACInto applies the activation unit (ReLU + requantize) or plain
-// dequantization into out, reusing q8 as the requantization buffer; the
-// possibly regrown buffer is returned for the op to keep.
-func finishMACInto(out *tensor.Tensor, acc []int32, accScale float64, relu bool, q8 []int8) []int8 {
-	return finishMACSlice(out.Data, acc, accScale, relu, q8)
-}
-
-// finishMACSlice is the raw-slice core of finishMACInto, shared with the
-// batched tier, which finishes each sample into its segment of the batch
-// output block. Both paths run the exact same float operations, which is
-// part of the bitwise golden-reference contract.
+// finishMACSlice applies the activation unit (ReLU + requantize) or plain
+// dequantization to one sample's accumulators, writing dst and reusing q8
+// as the requantization buffer; the possibly regrown buffer is returned for
+// the op to keep.
 func finishMACSlice(dst []float64, acc []int32, accScale float64, relu bool, q8 []int8) []int8 {
 	if relu {
 		q, scale := ReLUQuantizeInto(q8, acc, accScale)

@@ -151,7 +151,7 @@ func TestCompilePlanStructure(t *testing.T) {
 }
 
 // TestPostJoinLockSemantics: the vector-unit lock (post-residual) must
-// negate exactly the scheduled neurons.
+// negate exactly the scheduled neurons of every sample, on both backends.
 func TestPostJoinLockSemantics(t *testing.T) {
 	allOnes, _ := keys.FromBytes(bytesOf(0xFF, keys.KeyBytes))
 	dev := keys.NewDevice("t", allOnes)
@@ -160,23 +160,26 @@ func TestPostJoinLockSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := &lockReluOp{lockID: "post", neurons: 6, relu: false}
-	x := tensor.FromSlice([]float64{1, -2, 3, -4, 5, -6}, 6)
-	out, err := op.apply(a, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x.Data {
-		if out.Data[i] != -x.Data[i] {
-			t.Fatalf("all-ones key should negate every activation, got %v", out.Data)
+	x := tensor.FromSlice([]float64{1, -2, 3, -4, 5, -6}, 2, 3)
+	for _, onMMU := range []bool{false, true} {
+		a.onMMU = onMMU
+		op := &lockReluOp{lockID: "post", neurons: 3, relu: false, outKey: "out"}
+		out, err := op.run(a, x)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// With relu, only the (now) positive values survive.
-	op.relu = true
-	out, _ = op.apply(a, x)
-	for i, v := range out.Data {
-		if v < 0 {
-			t.Fatalf("relu output negative at %d", i)
+		for i := range x.Data {
+			if out.Data[i] != -x.Data[i] {
+				t.Fatalf("onMMU=%v: all-ones key should negate every activation, got %v", onMMU, out.Data)
+			}
+		}
+		// With relu, only the (now) positive values survive.
+		op.relu = true
+		out, _ = op.run(a, x)
+		for i, v := range out.Data {
+			if v < 0 || v == 0 && x.Data[i] < 0 {
+				t.Fatalf("onMMU=%v: relu output %v at %d", onMMU, v, i)
+			}
 		}
 	}
 }

@@ -83,15 +83,15 @@ func QuantizeToInto(q *QTensor, t *tensor.Tensor, bits int) *QTensor {
 // quantizeSlice quantizes src into dst (same length, caller-sized; dst may
 // be src) and returns the symmetric scale. It is the raw-slice core of
 // QuantizeToInto and MUST stay operation-for-operation identical to it —
-// same max-abs scan, same scale rule, same round-and-clamp — because the
-// batched engine quantizes each sample's row through this path while the
-// golden simulator goes through QuantizeToInto, and the two must produce
-// the same int8 codes (pinned by TestQuantizeSliceMatchesQuantizeToInto).
+// same max-abs scan, same scale rule, same round-and-clamp — because every
+// op quantizes each sample's activations through this path on both MAC
+// backends, and the codes must be the datapath's QuantizeTo codes (pinned
+// by TestQuantizeSliceMatchesQuantizeToInto).
 //
 // dst holds each code widened to float64 for the float GEMM, and the code
 // is float64(int8(r)), never the rounded float r: a finite sample whose
 // max |x| is near the smallest normal has 1/scale = +Inf, so its zeros
-// round through 0·Inf = NaN. The golden path stores int8(NaN), which is 0;
+// round through 0·Inf = NaN. QuantizeToInto stores int8(NaN), which is 0;
 // a NaN code would poison every sum it enters.
 //
 //hpnn:noalloc

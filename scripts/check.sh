@@ -21,9 +21,10 @@ go vet ./...
 go run ./cmd/hpnn-lint ./...
 go test -race ./internal/tensor/... ./internal/nn/... ./internal/serve/... ./internal/train/...
 # The accelerator's own concurrency surface (per-shard plans over one
-# shared model, zero-alloc PredictSample) — by name, so the gate skips the
-# tpu package's slow training suites.
-go test -race -run 'TestServeConcurrentAccelerators|TestPredictSampleMatchesPredict' ./internal/tpu/
+# shared model, the zero-alloc PredictSample golden path) and its teardown
+# (Release zeroes key bits and weights, never the published model) — by
+# name, so the gate skips the tpu package's slow training suites.
+go test -race -run 'TestServeConcurrentAccelerators|TestPredictSampleMatchesPredict|TestRelease' ./internal/tpu/
 # The serve lifecycle tests (hammer, close-under-load, backpressure,
 # cancellation, buffer reuse after a cancelled Predict) are
 # scheduler-sensitive; repeat them to shake out interleavings a single run
@@ -55,12 +56,13 @@ go test -race -run 'TestShard' ./internal/dataset/
 # rests on: over int8 codes held as float64 the GEMM returns the exact
 # integer product.
 go test -race -run 'TestGEMMDeterministicAcrossWorkers|TestGEMMZeroAllocSteadyState|TestGEMMMatchesNaive|TestGEMMExactOnInt8Codes' ./internal/tensor/
-# Batched int8 inference tier (int8 codes on the float GEMM): bitwise
-# parity with the per-sample golden path across every registered scheme,
-# extreme samples included, worker-count determinism, partial batches
-# after Seal, revocation mid-service, and the quantizer pin. The
-# checked-in fuzz corpus replays as unit cases under -race; the zero-alloc
-# pin skips itself when the race detector is on.
+# One executor, two MAC backends: the GEMM tier (int8 codes on the float
+# GEMM) must match PredictSample, whose MACs all run on the simulated MMU,
+# bitwise across every registered scheme and datapath width, extreme
+# samples included; plus worker-count determinism, partial batches after
+# Seal, revocation mid-service, and the quantizer pin. The checked-in fuzz
+# corpus replays as unit cases under -race; the zero-alloc pin skips itself
+# when the race detector is on.
 go test -race -run 'TestPredictBatch|TestQuantizeSlice|FuzzPredictBatch' ./internal/tpu/
 # Lock-scheme contract suite in its quick profile: every registered backend
 # must honor the roundtrip/collapse/leakage/revocation clauses. -short
