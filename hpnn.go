@@ -274,10 +274,10 @@ var (
 	ErrZooNotModified   = modelio.ErrNotModified
 )
 
-// NewInferenceServer starts a batched serving instance for one model:
-// each shard owns a private compiled accelerator bound to the same sealed
-// key device and schedule, warmed and sealed so steady-state requests
-// allocate nothing. dev may be nil to serve on commodity hardware (the
+// NewInferenceServer starts a batched serving instance for one model: the
+// model compiles once into a program every shard shares, and each shard's
+// accelerator — bound to the same sealed key device and schedule — holds
+// its own state, sized and sealed up front so requests allocate nothing. dev may be nil to serve on commodity hardware (the
 // paper's attacker scenario). Stop with Close, which drains accepted
 // requests and returns final statistics.
 func NewInferenceServer(m *Model, acfg AcceleratorConfig, dev *Device, sched *Schedule, cfg ServeConfig) (*InferenceServer, error) {

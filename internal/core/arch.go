@@ -63,7 +63,7 @@ func (c Config) scale(w int) int {
 }
 
 // builder assembles a locked network while tracking per-sample feature
-// dimensions.
+// dimensions. With a nil r the weights are left zero instead of drawn.
 type builder struct {
 	cfg     Config
 	r       *rng.Rand
@@ -73,13 +73,26 @@ type builder struct {
 	nLocks  int
 }
 
-func newBuilder(cfg Config) *builder {
-	return &builder{cfg: cfg, r: rng.New(cfg.Seed), c: cfg.InC, h: cfg.InH, w: cfg.InW}
+func newBuilder(cfg Config, init bool) *builder {
+	b := &builder{cfg: cfg, c: cfg.InC, h: cfg.InH, w: cfg.InW}
+	if init {
+		b.r = rng.New(cfg.Seed)
+	}
+	return b
+}
+
+// newConv builds a conv layer, He-initialized unless the builder is blank.
+func (b *builder) newConv(g tensor.ConvGeom, outC int) *nn.Conv2D {
+	c := nn.NewConv2D(g, outC)
+	if b.r != nil {
+		c.InitHe(b.r)
+	}
+	return c
 }
 
 func (b *builder) conv(outC, k, stride, pad int) *builder {
 	g := tensor.ConvGeom{InC: b.c, InH: b.h, InW: b.w, KH: k, KW: k, Stride: stride, Pad: pad}
-	b.layers = append(b.layers, nn.NewConv2D(g, outC).InitHe(b.r))
+	b.layers = append(b.layers, b.newConv(g, outC))
 	b.c, b.h, b.w = outC, g.OutH(), g.OutW()
 	return b
 }
@@ -106,7 +119,11 @@ func (b *builder) flatten() *builder {
 }
 
 func (b *builder) dense(out int) *builder {
-	b.layers = append(b.layers, nn.NewDense(b.flat, out).InitHe(b.r))
+	d := nn.NewDense(b.flat, out)
+	if b.r != nil {
+		d.InitHe(b.r)
+	}
+	b.layers = append(b.layers, d)
 	b.flat = out
 	return b
 }
@@ -120,22 +137,24 @@ func (b *builder) featSize() int {
 
 func (b *builder) build() *nn.Network { return nn.NewNetwork(b.layers...) }
 
-// buildNetwork constructs the architecture's layer stack.
-func buildNetwork(cfg Config) (*nn.Network, error) {
+// buildNetwork constructs the architecture's layer stack, He-initialized
+// from cfg.Seed when init is set and all-zero otherwise.
+func buildNetwork(cfg Config, init bool) (*nn.Network, error) {
 	if cfg.InC <= 0 || cfg.InH <= 0 || cfg.InW <= 0 {
 		return nil, fmt.Errorf("hpnn: invalid input dims %dx%dx%d", cfg.InC, cfg.InH, cfg.InW)
 	}
+	b := newBuilder(cfg, init)
 	switch cfg.Arch {
 	case CNN1:
-		return buildCNN1(cfg), nil
+		return buildCNN1(b), nil
 	case CNN2:
-		return buildCNN2(cfg), nil
+		return buildCNN2(b), nil
 	case CNN3:
-		return buildCNN3(cfg), nil
+		return buildCNN3(b), nil
 	case ResNet18:
-		return buildResNet18(cfg), nil
+		return buildResNet18(b), nil
 	case MLP:
-		return buildMLP(cfg), nil
+		return buildMLP(b), nil
 	default:
 		return nil, fmt.Errorf("hpnn: unknown architecture %q", cfg.Arch)
 	}
@@ -144,8 +163,8 @@ func buildNetwork(cfg Config) (*nn.Network, error) {
 // buildCNN1: conv(→4, 5×5) · Lock · ReLU · pool2 · conv(→32, 5×5) · Lock ·
 // ReLU · pool2 · FC. At 28×28×1 and scale 1 the two ReLU layers hold
 // 4·24·24 + 32·8·8 = 4352 neurons, matching Table I.
-func buildCNN1(cfg Config) *nn.Network {
-	b := newBuilder(cfg)
+func buildCNN1(b *builder) *nn.Network {
+	cfg := b.cfg
 	b.conv(cfg.scale(4), 5, 1, 0).lockedReLU().maxpool(2, 2)
 	b.conv(cfg.scale(32), 5, 1, 0).lockedReLU().maxpool(2, 2)
 	b.flatten().dense(cfg.Classes)
@@ -156,8 +175,8 @@ func buildCNN1(cfg Config) *nn.Network {
 // FC(1024)·FC(512)·FC(classes); ReLU (locked) after all six convs and the
 // first two FCs. At 32×32×3 and scale 1: 2·64·32² + 2·96·16² + 2·128·8² +
 // 1024 + 512 = 198144 locked neurons, matching Table I.
-func buildCNN2(cfg Config) *nn.Network {
-	b := newBuilder(cfg)
+func buildCNN2(b *builder) *nn.Network {
+	cfg := b.cfg
 	b.conv(cfg.scale(64), 3, 1, 1).lockedReLU()
 	b.conv(cfg.scale(64), 3, 1, 1).lockedReLU().maxpool(2, 2)
 	b.conv(cfg.scale(96), 3, 1, 1).lockedReLU()
@@ -174,8 +193,8 @@ func buildCNN2(cfg Config) *nn.Network {
 // buildCNN3: [conv-pool]×3 with channels 16/32/64 plus FC(1024)·FC(classes);
 // ReLU (locked) after each conv and the first FC. At 32×32×3 and scale 1:
 // 16·32² + 32·16² + 64·8² + 1024 = 29696 locked neurons, matching Table I.
-func buildCNN3(cfg Config) *nn.Network {
-	b := newBuilder(cfg)
+func buildCNN3(b *builder) *nn.Network {
+	cfg := b.cfg
 	b.conv(cfg.scale(16), 3, 1, 1).lockedReLU().maxpool(2, 2)
 	b.conv(cfg.scale(32), 3, 1, 1).lockedReLU().maxpool(2, 2)
 	b.conv(cfg.scale(64), 3, 1, 1).lockedReLU().maxpool(2, 2)
@@ -186,8 +205,8 @@ func buildCNN3(cfg Config) *nn.Network {
 }
 
 // buildMLP: Dense(64)·Lock·ReLU · Dense(64)·Lock·ReLU · Dense(classes).
-func buildMLP(cfg Config) *nn.Network {
-	b := newBuilder(cfg)
+func buildMLP(b *builder) *nn.Network {
+	cfg := b.cfg
 	b.flatten()
 	b.dense(cfg.scale(64)).lockedReLU()
 	b.dense(cfg.scale(64)).lockedReLU()
@@ -200,8 +219,8 @@ func buildMLP(cfg Config) *nn.Network {
 // 2-4 downsample by stride 2 with a 1×1 projection skip), global average
 // pooling and a final FC. Every ReLU — in the stem, inside each block and
 // after each residual join — is locked.
-func buildResNet18(cfg Config) *nn.Network {
-	b := newBuilder(cfg)
+func buildResNet18(b *builder) *nn.Network {
+	cfg := b.cfg
 	// Stem.
 	b.conv(cfg.scale(64), 3, 1, 1)
 	b.layers = append(b.layers, nn.NewBatchNorm2D(b.c))
@@ -231,7 +250,6 @@ func buildResNet18(cfg Config) *nn.Network {
 //	post: Lock · ReLU
 func (b *builder) basicBlock(outC, stride int) {
 	inC, inH, inW := b.c, b.h, b.w
-	r := b.r
 
 	g1 := tensor.ConvGeom{InC: inC, InH: inH, InW: inW, KH: 3, KW: 3, Stride: stride, Pad: 1}
 	midH, midW := g1.OutH(), g1.OutW()
@@ -240,18 +258,18 @@ func (b *builder) basicBlock(outC, stride int) {
 	innerLockID := fmt.Sprintf("%s/lock%02d", b.cfg.Arch, b.nLocks)
 	b.nLocks++
 	body := nn.NewNetwork(
-		nn.NewConv2D(g1, outC).InitHe(r),
+		b.newConv(g1, outC),
 		nn.NewBatchNorm2D(outC),
 		nn.NewLock(innerLockID, outC*midH*midW),
 		nn.NewReLU(),
-		nn.NewConv2D(g2, outC).InitHe(r),
+		b.newConv(g2, outC),
 		nn.NewBatchNorm2D(outC),
 	)
 
 	var skip *nn.Network
 	if stride != 1 || inC != outC {
 		sg := tensor.ConvGeom{InC: inC, InH: inH, InW: inW, KH: 1, KW: 1, Stride: stride, Pad: 0}
-		skip = nn.NewNetwork(nn.NewConv2D(sg, outC).InitHe(r), nn.NewBatchNorm2D(outC))
+		skip = nn.NewNetwork(b.newConv(sg, outC), nn.NewBatchNorm2D(outC))
 	}
 
 	postLockID := fmt.Sprintf("%s/lock%02d", b.cfg.Arch, b.nLocks)

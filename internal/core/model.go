@@ -34,8 +34,18 @@ type Model struct {
 // All locks start engaged with all-zero bits (every factor +1), which is
 // functionally the unlocked baseline until a key is applied.
 func NewModel(cfg Config) (*Model, error) {
+	return newModel(cfg, true)
+}
+
+// NewBlankModel builds cfg's architecture with every weight zero, drawing
+// no initial weights: the shape a decoder fills in with published values.
+func NewBlankModel(cfg Config) (*Model, error) {
+	return newModel(cfg, false)
+}
+
+func newModel(cfg Config, init bool) (*Model, error) {
 	cfg = cfg.withDefaults()
-	net, err := buildNetwork(cfg)
+	net, err := buildNetwork(cfg, init)
 	if err != nil {
 		return nil, err
 	}

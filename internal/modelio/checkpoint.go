@@ -154,20 +154,21 @@ func SaveCheckpoint(w io.Writer, m *core.Model, st train.State) error {
 	if err := writeU32(bw, uint32(len(st.Optimizer.Slots))); err != nil {
 		return err
 	}
+	var c f64Codec
 	for _, slot := range st.Optimizer.Slots {
 		if err := writeU32(bw, uint32(len(slot))); err != nil {
 			return err
 		}
 		for _, vec := range slot {
-			if err := writeF64s(bw, vec); err != nil {
+			if err := c.writeLen(bw, vec); err != nil {
 				return err
 			}
 		}
 	}
-	if err := writeF64s(bw, st.EpochLoss); err != nil {
+	if err := c.writeLen(bw, st.EpochLoss); err != nil {
 		return err
 	}
-	if err := writeF64s(bw, st.TestAcc); err != nil {
+	if err := c.writeLen(bw, st.TestAcc); err != nil {
 		return err
 	}
 	if st.Shards != 0 {
@@ -297,6 +298,7 @@ func LoadCheckpoint(r io.Reader) (*core.Model, train.State, error) {
 		return nil, st, fmt.Errorf("modelio: checkpoint has %d optimizer slots, limit %d", nSlots, maxSlots)
 	}
 	st.Optimizer.Slots = make([][][]float64, nSlots)
+	var c f64Codec
 	for i := range st.Optimizer.Slots {
 		nVecs, err := readU32(br)
 		if err != nil {
@@ -310,16 +312,16 @@ func LoadCheckpoint(r io.Reader) (*core.Model, train.State, error) {
 		}
 		vecs := make([][]float64, nVecs)
 		for j := range vecs {
-			if vecs[j], err = readF64s(br); err != nil {
+			if vecs[j], err = c.readLen(br); err != nil {
 				return nil, st, err
 			}
 		}
 		st.Optimizer.Slots[i] = vecs
 	}
-	if st.EpochLoss, err = readF64s(br); err != nil {
+	if st.EpochLoss, err = c.readLen(br); err != nil {
 		return nil, st, err
 	}
-	if st.TestAcc, err = readF64s(br); err != nil {
+	if st.TestAcc, err = c.readLen(br); err != nil {
 		return nil, st, err
 	}
 	if len(st.EpochLoss) > maxEpochs || len(st.TestAcc) > maxEpochs {
@@ -369,23 +371,13 @@ func LoadCheckpointFile(path string) (*core.Model, train.State, error) {
 	return LoadCheckpoint(f)
 }
 
-// writeF64s writes a length-prefixed float64 slice.
-func writeF64s(w io.Writer, vs []float64) error {
-	if err := writeU32(w, uint32(len(vs))); err != nil {
-		return err
-	}
-	for _, v := range vs {
-		if err := writeF64(w, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// readChunk bounds how many values readLen reads at a time.
+const readChunk = 4096
 
-// readF64s reads a length-prefixed float64 slice. The slice grows with
-// the data actually present, so a forged length cannot force a huge
-// allocation before the stream runs dry.
-func readF64s(r io.Reader) ([]float64, error) {
+// readLen reads a u32-length-prefixed float64 slice. The slice grows with
+// the data actually present, one chunk at a time, so a forged length
+// cannot force a huge allocation before the stream runs dry.
+func (c *f64Codec) readLen(r io.Reader) ([]float64, error) {
 	n, err := readU32(r)
 	if err != nil {
 		return nil, err
@@ -393,17 +385,13 @@ func readF64s(r io.Reader) ([]float64, error) {
 	if n > maxTensorElems {
 		return nil, fmt.Errorf("modelio: float slice length %d exceeds limit", n)
 	}
-	capHint := int(n)
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	out := make([]float64, 0, capHint)
-	for i := uint32(0); i < n; i++ {
-		v, err := readF64(r)
-		if err != nil {
+	out := make([]float64, 0, min(int(n), readChunk))
+	for len(out) < int(n) {
+		k := min(int(n)-len(out), readChunk)
+		out = append(out, make([]float64, k)...)
+		if err := c.read(r, out[len(out)-k:]); err != nil {
 			return nil, err
 		}
-		out = append(out, v)
 	}
 	return out, nil
 }

@@ -76,6 +76,7 @@ func Save(w io.Writer, m *core.Model) error {
 	if err := writeU64(bw, cfg.Seed); err != nil {
 		return err
 	}
+	var c f64Codec
 	params := m.Net.Params()
 	if err := writeU32(bw, uint32(len(params))); err != nil {
 		return err
@@ -84,13 +85,8 @@ func Save(w io.Writer, m *core.Model) error {
 		if err := writeString(bw, p.Name); err != nil {
 			return err
 		}
-		if err := writeU32(bw, uint32(len(p.Value.Data))); err != nil {
+		if err := c.writeLen(bw, p.Value.Data); err != nil {
 			return err
-		}
-		for _, v := range p.Value.Data {
-			if err := writeF64(bw, v); err != nil {
-				return err
-			}
 		}
 	}
 	stats := core.BatchNormStats(m)
@@ -98,22 +94,18 @@ func Save(w io.Writer, m *core.Model) error {
 		return err
 	}
 	for _, s := range stats {
-		if err := writeU32(bw, uint32(len(s))); err != nil {
+		if err := c.writeLen(bw, s); err != nil {
 			return err
-		}
-		for _, v := range s {
-			if err := writeF64(bw, v); err != nil {
-				return err
-			}
 		}
 	}
 	return bw.Flush()
 }
 
 // Load reads a model saved by Save: it rebuilds the architecture from the
-// stored config and fills in the published weights. All locks start
-// engaged with zero bits (the baseline function) — applying a key is the
-// caller's (i.e. the trusted hardware's) job.
+// stored config, drawing no initial weights, and fills in the published
+// weights one tensor at a time. All locks start engaged with zero bits
+// (the baseline function) — applying a key is the caller's (i.e. the
+// trusted hardware's) job.
 func Load(r io.Reader) (*core.Model, error) {
 	br := bufio.NewReader(r)
 	var m4 [4]byte
@@ -158,7 +150,7 @@ func Load(r io.Reader) (*core.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := core.NewModel(core.Config{
+	model, err := core.NewBlankModel(core.Config{
 		Arch: core.Arch(arch),
 		InC:  int(dims[0]), InH: int(dims[1]), InW: int(dims[2]),
 		Classes:    int(dims[3]),
@@ -173,6 +165,7 @@ func Load(r io.Reader) (*core.Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	var c f64Codec
 	params := model.Net.Params()
 	if int(nParams) != len(params) {
 		return nil, fmt.Errorf("modelio: file has %d parameters, architecture needs %d", nParams, len(params))
@@ -192,10 +185,8 @@ func Load(r io.Reader) (*core.Model, error) {
 		if int(n) != len(p.Value.Data) {
 			return nil, fmt.Errorf("modelio: parameter %q has %d values, want %d", name, n, len(p.Value.Data))
 		}
-		for i := range p.Value.Data {
-			if p.Value.Data[i], err = readF64(br); err != nil {
-				return nil, err
-			}
+		if err := c.read(br, p.Value.Data); err != nil {
+			return nil, err
 		}
 	}
 	nStats, err := readU32(br)
@@ -214,10 +205,8 @@ func Load(r io.Reader) (*core.Model, error) {
 		if int(n) != len(s) {
 			return nil, fmt.Errorf("modelio: batch-norm stat size mismatch")
 		}
-		for i := range s {
-			if s[i], err = readF64(br); err != nil {
-				return nil, err
-			}
+		if err := c.read(br, s); err != nil {
+			return nil, err
 		}
 	}
 	return model, nil
@@ -257,6 +246,46 @@ func FlattenParams(m *core.Model) []float64 {
 }
 
 // --- primitive encoders -----------------------------------------------------
+
+// f64Codec moves float64 runs as little-endian IEEE bits through one
+// reused byte buffer: one Write or ReadFull per run, not one per value.
+type f64Codec struct{ buf []byte }
+
+func (c *f64Codec) bytes(n int) []byte {
+	if cap(c.buf) < 8*n {
+		c.buf = make([]byte, 8*n)
+	}
+	return c.buf[:8*n]
+}
+
+func (c *f64Codec) write(w io.Writer, vs []float64) error {
+	b := c.bytes(len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// writeLen writes vs prefixed by its u32 length.
+func (c *f64Codec) writeLen(w io.Writer, vs []float64) error {
+	if err := writeU32(w, uint32(len(vs))); err != nil {
+		return err
+	}
+	return c.write(w, vs)
+}
+
+// read fills dst from r, failing if r ends first.
+func (c *f64Codec) read(r io.Reader, dst []float64) error {
+	b := c.bytes(len(dst))
+	if _, err := io.ReadFull(r, b); err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return nil
+}
 
 func writeU32(w io.Writer, v uint32) error { return binary.Write(w, binary.LittleEndian, v) }
 func writeU64(w io.Writer, v uint64) error { return binary.Write(w, binary.LittleEndian, v) }

@@ -14,19 +14,20 @@ package serve
 //     one-device-one-model invariant keeps key material from ever crossing
 //     tenants — the trust boundary of the whole design.
 //   - Residency is lazy: the first request for a tenant decodes the blob,
-//     compiles and seals a Server (shards, warmup, zero-alloc steady state),
-//     and later requests route to it over an atomic pointer — no locks on
-//     the hot path.
-//   - The Registry holds residents under a workspace-memory budget: when a
-//     compile pushes the summed shard workspaces past MaxWorkspaceBytes,
-//     least-recently-used tenants are evicted — drained through Close, then
-//     released back to the allocator via the accelerator's Release hook.
-//     Evicted tenants recompile on their next hit.
+//     compiles its one program and seals a Server (shards bound to the
+//     program, zero-alloc steady state), and later requests route to it
+//     over an atomic pointer — no locks on the hot path.
+//   - The Registry holds residents under a memory budget: when a compile
+//     pushes the summed tenant footprints (each program once, plus every
+//     shard's state) past MaxWorkspaceBytes, least-recently-used tenants
+//     are evicted — drained through Close, then wiped and released back to
+//     the allocator. Evicted tenants recompile on their next hit.
 //   - Deploy is the zero-downtime hot-swap: the incoming version compiles
 //     off to the side while the old server keeps answering, the routing
 //     pointer flips atomically, and the old server drains its in-flight
-//     batches before its plans are released. Requests that raced into the
-//     old server during the flip are transparently re-routed.
+//     batches before its program and shard states are released. Requests
+//     that raced into the old server during the flip are transparently
+//     re-routed.
 
 import (
 	"bytes"
@@ -37,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hpnn/internal/core"
 	"hpnn/internal/keys"
 	"hpnn/internal/modelio"
 	"hpnn/internal/schedule"
@@ -56,9 +58,10 @@ type RegistryConfig struct {
 	// Tenant is the serving configuration every tenant's Server is built
 	// with (shards, batch size, window, queue depth).
 	Tenant Config
-	// MaxWorkspaceBytes bounds the summed accelerator-workspace footprint
-	// of resident tenants — every shard's activation buffers plus its
-	// float64 weight codes for the batched tier; exceeding it evicts
+	// MaxWorkspaceBytes bounds the summed accelerator memory of resident
+	// tenants — each tenant's compiled program (weight codes, biases, a
+	// weight-space scheme's unlocked clone) once, plus every shard's state
+	// (activation buffers, scratch, sign masks); exceeding it evicts
 	// least-recently-used tenants (drain + release). 0 means unbudgeted.
 	// The newest tenant is never evicted, so one oversized model still
 	// serves.
@@ -166,7 +169,7 @@ func (r *Registry) Register(name string, blob []byte, dev *keys.Device, sched *s
 	if sched == nil {
 		return fmt.Errorf("serve: tenant %q requires a schedule", name)
 	}
-	scheme, err := validateBlob(blob)
+	_, scheme, err := decodeBlob(blob)
 	if err != nil {
 		return fmt.Errorf("serve: tenant %q: %w", name, err)
 	}
@@ -192,17 +195,18 @@ func (r *Registry) Register(name string, blob []byte, dev *keys.Device, sched *s
 	return nil
 }
 
-// validateBlob decodes blob far enough to reject junk at the API boundary:
-// full model decode plus the scheme sniff the zoo records carry.
-func validateBlob(blob []byte) (string, error) {
+// decodeBlob rejects junk at the API boundary: it decodes the full model
+// and sniffs the scheme the zoo records carry.
+func decodeBlob(blob []byte) (*core.Model, string, error) {
 	scheme, err := modelio.SniffScheme(blob)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
-	if _, err := modelio.Load(bytes.NewReader(blob)); err != nil {
-		return "", err
+	m, err := modelio.Load(bytes.NewReader(blob))
+	if err != nil {
+		return nil, "", err
 	}
-	return scheme, nil
+	return m, scheme, nil
 }
 
 // tenant resolves a model ID to its tenant, applying default routing: ""
@@ -251,7 +255,7 @@ func (t *Tenant) resident() (*Server, error) {
 		t.mu.Unlock()
 		return nil, ErrClosed
 	}
-	srv, bytes, err := t.compileLocked(t.blob)
+	srv, bytes, err := t.compileBlobLocked()
 	if err != nil {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("serve: compiling tenant %q: %w", t.name, err)
@@ -264,12 +268,19 @@ func (t *Tenant) resident() (*Server, error) {
 	return srv, nil
 }
 
-// compileLocked builds a sealed Server from a blob. Caller holds t.mu.
-func (t *Tenant) compileLocked(blob []byte) (*Server, int, error) {
-	m, err := modelio.Load(bytes.NewReader(blob))
+// compileBlobLocked decodes the tenant's blob and builds a sealed Server
+// from it. Caller holds t.mu.
+func (t *Tenant) compileBlobLocked() (*Server, int, error) {
+	m, err := modelio.Load(bytes.NewReader(t.blob))
 	if err != nil {
 		return nil, 0, err
 	}
+	return t.compileLocked(m)
+}
+
+// compileLocked builds a sealed Server for a decoded model. Caller holds
+// t.mu.
+func (t *Tenant) compileLocked(m *core.Model) (*Server, int, error) {
 	srv, err := New(m, t.reg.acfg, t.dev, t.sched, t.reg.cfg.Tenant)
 	if err != nil {
 		return nil, 0, err
@@ -414,13 +425,14 @@ func (r *Registry) PredictBatch(ctx context.Context, model string, x *tensor.Ten
 // Deploy rolls a new version of an already-registered tenant with zero
 // downtime: the new blob compiles and seals off to the side while the old
 // server keeps answering, the routing entry swaps atomically, and the old
-// server drains its in-flight batches before its plans are released. A
+// server drains its in-flight batches before its program is released. A
 // non-resident tenant just gets the new blob (it compiles on next hit).
 // Deploy returns after the old version has fully drained — a prediction
 // stream through the tenant answers with the old version before the swap
 // point and the new version after it, and no request in between is dropped.
 func (r *Registry) Deploy(name string, blob []byte) error {
-	if _, err := validateBlob(blob); err != nil {
+	m, scheme, err := decodeBlob(blob)
+	if err != nil {
 		return fmt.Errorf("serve: deploying %q: %w", name, err)
 	}
 	r.mu.Lock()
@@ -437,7 +449,7 @@ func (r *Registry) Deploy(name string, blob []byte) error {
 	t.mu.Lock()
 	var newSrv *Server
 	if t.srv.Load() != nil {
-		srv, bytes, err := t.compileLocked(blob)
+		srv, bytes, err := t.compileLocked(m)
 		if err != nil {
 			t.mu.Unlock()
 			return fmt.Errorf("serve: deploying %q: %w", name, err)
@@ -445,7 +457,6 @@ func (r *Registry) Deploy(name string, blob []byte) error {
 		newSrv = srv
 		t.bytes.Store(int64(bytes))
 	}
-	scheme, _ := modelio.SniffScheme(blob) // validated above
 	t.blob = append(t.blob[:0], blob...)
 	t.scheme = scheme
 	t.version++
@@ -552,8 +563,8 @@ func (t *Tenant) info() TenantInfo {
 	return info
 }
 
-// WorkspaceBytes sums the resident tenants' activation-workspace
-// footprints — the number the eviction budget is enforced against.
+// WorkspaceBytes sums the resident tenants' accelerator memory — the
+// number the eviction budget is enforced against.
 func (r *Registry) WorkspaceBytes() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -592,7 +603,8 @@ func (r *Registry) isClosed() bool {
 }
 
 // Close stops routing, drains every resident tenant through its server's
-// Close and releases their plans. It returns the final per-tenant reports.
+// Close and releases their programs. It returns the final per-tenant
+// reports.
 // Close is idempotent.
 func (r *Registry) Close() []TenantInfo {
 	r.mu.Lock()

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"hpnn/internal/core"
+	"hpnn/internal/keys"
 	"hpnn/internal/lockscheme"
 	"hpnn/internal/rng"
+	"hpnn/internal/schedule"
 	"hpnn/internal/tpu"
 )
 
@@ -63,27 +65,46 @@ func BenchmarkRegistryMultiModel(b *testing.B) {
 }
 
 // BenchmarkRegistryColdCompile measures the lazy-residency cost an evicted
-// tenant pays on its next hit: blob decode, server build, compile, warmup,
-// seal. ns/op is the cold-start latency the LRU trades memory against.
+// tenant pays on its next hit — blob decode, one program compile, each
+// shard's state sized and sealed — for a CNN1 and a ResNet-18 ×0.25
+// tenant. ns/op is the cold-start latency the LRU trades memory against;
+// tenant-bytes is the resident tenant's accelerator memory, the number the
+// registry's budget counts.
 func BenchmarkRegistryColdCompile(b *testing.B) {
-	f := newSchemeFixture(b, lockscheme.DefaultName, core.CNN1, 16, 1, 4100)
-	reg := NewRegistry(tpu.DefaultConfig(), benchRegistryConfig())
-	defer reg.Close()
-	if err := reg.Register("m", blobFor(b, f.model), f.dev, f.sched); err != nil {
-		b.Fatal(err)
-	}
-	t, err := reg.tenant("m")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := reg.Warm("m"); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		t.evict()
-		b.StartTimer()
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"CNN1", core.Config{Arch: core.CNN1, InC: 1, InH: 16, InW: 16, Classes: 4, Seed: 4100}},
+		{"ResNet18x0.25", core.Config{Arch: core.ResNet18, InC: 1, InH: 16, InW: 16, Classes: 4, WidthScale: 0.25, Seed: 4100}},
+	} {
+		b.Run("model="+c.name, func(b *testing.B) {
+			m := core.MustModel(c.cfg)
+			key := keys.Generate(rng.New(4101))
+			sched := schedule.New(keys.KeyBits, 4102)
+			m.ApplyRawKey(key, sched)
+			reg := NewRegistry(tpu.DefaultConfig(), benchRegistryConfig())
+			defer reg.Close()
+			if err := reg.Register("m", blobFor(b, m), keys.NewDevice("owner", key), sched); err != nil {
+				b.Fatal(err)
+			}
+			t, err := reg.tenant("m")
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytes := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := reg.Warm("m"); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				bytes = reg.WorkspaceBytes()
+				t.evict()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(bytes), "tenant-bytes")
+		})
 	}
 }
 

@@ -10,12 +10,15 @@
 //   - One batcher goroutine drains a bounded request queue, coalescing up
 //     to MaxBatch requests or waiting at most MaxWait after the first —
 //     whichever comes first — before handing the batch to the shards.
-//   - Each of the Shards worker goroutines owns a complete Accelerator:
-//     its own compiled plan, activation workspace, quantization caches and
-//     MMU counters. Nothing mutable is shared between shards (the model's
-//     weights are read-only at inference), so the per-shard zero-allocation
-//     invariant of the execution engine holds under full concurrency, and
-//     each shard's workspace is sealed after warmup to enforce it.
+//   - The tenant's model compiles once into a read-only tpu.Program:
+//     folded weights, their int8 and widened codes, the lock column
+//     assignments, and a weight-space scheme's unlocked clone. Each of the
+//     Shards worker goroutines owns an Accelerator bound to that program,
+//     with its own state — output buffers, scratch, sign masks and MMU
+//     counters. Nothing mutable is shared between shards, so the per-shard
+//     zero-allocation invariant of the execution engine holds under full
+//     concurrency. Each shard's state is sized for MaxBatch from the
+//     program's shapes and sealed before any inference runs.
 //   - Results return over a per-request buffered channel; callers select
 //     on it against their context, so cancellation never blocks a shard.
 //     A per-request claim decides whether the shard or a cancelled caller
@@ -132,10 +135,10 @@ const (
 	claimAbandoned
 )
 
-// shard is one worker's private execution state: a full accelerator (plan,
-// workspace, quantization caches) plus a reusable batch-view header and
-// pre-sized gather buffers, so dispatching a micro-batch performs no
-// allocation.
+// shard is one worker's private execution state: an accelerator bound to
+// the server's program (its state: output buffers, scratch, sign masks,
+// counters) plus a reusable batch-view header and pre-sized gather buffers,
+// so dispatching a micro-batch performs no allocation.
 type shard struct {
 	acc   *tpu.Accelerator
 	view  tensor.Tensor
@@ -150,7 +153,8 @@ type shard struct {
 type Server struct {
 	cfg   Config
 	model *core.Model
-	c     int // expected sample shape
+	prog  *tpu.Program // compiled once, shared read-only by every shard
+	c     int          // expected sample shape
 	h, w  int
 	feat  int
 
@@ -170,11 +174,12 @@ type Server struct {
 }
 
 // New builds a serving instance for one model on simulated locked hardware.
-// Each shard gets its own accelerator bound to the same sealed key device
-// and private schedule; plans compile eagerly and each shard runs (and then
-// seals) a warmup inference so steady-state requests allocate nothing.
-// dev may be nil to serve on commodity hardware without the HPNN key — the
-// paper's attacker scenario, useful for differential experiments.
+// The model compiles once into a program every shard shares; each shard is
+// an accelerator bound to the same sealed key device and private schedule,
+// its state sized for MaxBatch and sealed before any inference runs, so
+// steady-state requests allocate nothing. dev may be nil to serve on
+// commodity hardware without the HPNN key — the paper's attacker scenario,
+// useful for differential experiments.
 func New(m *core.Model, acfg tpu.Config, dev *keys.Device, sched *schedule.Schedule, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	schemeName := cfg.Scheme
@@ -185,9 +190,14 @@ func New(m *core.Model, acfg tpu.Config, dev *keys.Device, sched *schedule.Sched
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	prog, err := tpu.NewProgram(scheme, acfg, dev, sched, m)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:   cfg,
 		model: m,
+		prog:  prog,
 		c:     m.Config.InC, h: m.Config.InH, w: m.Config.InW,
 		feat:    m.Config.InC * m.Config.InH * m.Config.InW,
 		in:      make(chan *request, cfg.QueueDepth),
@@ -198,30 +208,22 @@ func New(m *core.Model, acfg tpu.Config, dev *keys.Device, sched *schedule.Sched
 		b := make([]*request, 0, cfg.MaxBatch)
 		return &b
 	}
-	// Warm every buffer a shard will touch in steady state at the maximum
-	// batch size, then seal: smaller partial batches reshape within the
-	// sealed capacity.
-	warmBatch := tensor.New(cfg.MaxBatch, s.c, s.h, s.w)
 	for i := 0; i < cfg.Shards; i++ {
 		acc, err := tpu.NewAcceleratorFor(scheme, acfg, dev, sched)
+		if err == nil {
+			err = acc.Bind(prog, cfg.MaxBatch)
+		}
 		if err != nil {
-			return nil, err
+			s.release()
+			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
-		if err := acc.Compile(m); err != nil {
-			return nil, err
-		}
-		sh := &shard{
+		acc.Seal()
+		s.shards = append(s.shards, &shard{
 			acc:   acc,
 			live:  make([]*request, cfg.MaxBatch),
 			batch: make([]float64, cfg.MaxBatch*s.feat),
 			preds: make([]int, cfg.MaxBatch),
-		}
-		if err := acc.PredictBatchInto(sh.preds, m, warmBatch); err != nil {
-			return nil, fmt.Errorf("serve: shard %d warmup: %w", i, err)
-		}
-		acc.Seal()
-		acc.ResetStats() // warmup activity is not served traffic
-		s.shards = append(s.shards, sh)
+		})
 	}
 	s.wg.Add(1)
 	go s.batchLoop()
@@ -495,16 +497,19 @@ func (s *Server) Close() Stats {
 	return s.Stats()
 }
 
-// release drops the shards' compiled plans and activation workspaces,
-// returning their memory to the garbage collector. Only valid after Close
-// has drained the pipeline; the registry's eviction path (close + release)
-// is the only caller. A released server stays closed — tenants build a
-// fresh Server when they recompile.
+// release zeroes and drops every shard's state and gather buffer, then
+// the shared program, returning their memory to the garbage collector. Only
+// valid after Close has drained the pipeline (or before any shard started);
+// the registry's eviction path (close + release) is the only other caller.
+// A released server stays closed — tenants build a fresh Server when they
+// recompile.
 func (s *Server) release() {
 	for _, sh := range s.shards {
 		sh.acc.Release()
+		clear(sh.batch)
 		sh.batch, sh.preds, sh.live = nil, nil, nil
 	}
+	s.prog.Release()
 }
 
 // HardwareStats sums the simulated-hardware activity counters across all
@@ -517,10 +522,12 @@ func (s *Server) HardwareStats() tpu.Stats {
 	return total
 }
 
-// WorkspaceBytes reports the summed workspace footprint of all shards —
-// activation buffers plus the batched tier's float64 weight codes.
+// WorkspaceBytes reports the server's accelerator memory: the shared
+// program (weight codes, folded weights, a weight-space scheme's unlocked
+// clone) once, plus every shard's state (activation buffers, scratch, sign
+// masks).
 func (s *Server) WorkspaceBytes() int {
-	total := 0
+	total := s.prog.Bytes()
 	for _, sh := range s.shards {
 		total += sh.acc.WorkspaceBytes()
 	}

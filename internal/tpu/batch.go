@@ -93,53 +93,41 @@ func (lm *lockMask) wipe() {
 	*lm = lockMask{}
 }
 
-// macCore is the MAC state a fused conv or dense op keeps: the (folded)
-// float weights W[m, k] and bias, their codes, the lock's column
-// assignment and sign mask, and the per-sample accumulator scratch.
+// macCore is the program side of a fused conv or dense op: the int8 codes
+// of the (folded) weights W[m, k], the codes widened to float64 for the
+// GEMM, the float bias, and the lock's column assignment (nil when the
+// scheme places no lock in the datapath). The device side — the sign mask
+// and the integer scratch — is the op's opState.
 type macCore struct {
-	w, b   *tensor.Tensor
-	m, k   int
-	lockID string
-	relu   bool
-	ownsWB bool // w and b are the BN fold's clones, not the model's tensors
+	b     *tensor.Tensor
+	m, k  int
+	relu  bool
+	ownsB bool // b is the BN fold's clone, not the model's tensor
 
-	outKey, wKey string
-	qW           *QTensor       // weight codes, quantized on first run
-	wCodes       *tensor.Tensor // qW widened to float64 under wKey (GEMM only)
-	cols         []int
-	colsSet      bool // scheme lowering answered (nil = no in-datapath lock)
-	mask         lockMask
-	bias         []int32
-	acc          []int32
-	x8           []int8 // the MMU's input codes
-	q8           []int8
+	qW     *QTensor
+	wCodes []float64
+	cols   []int
+	outKey string
+	slot   int
 }
 
-// prepare readies an op's weights and lock for one run: it quantizes the
-// weights on first use and lowers the lock's column assignment once. On the
-// GEMM it also widens the weight codes once into the workspace, so
-// WorkspaceBytes (and the serving registry's memory budget) counts them, and
-// refreshes the sign mask the epilogue reads.
-func (c *macCore) prepare(a *Accelerator, outputs int) {
-	if c.qW == nil {
-		c.qW = a.quantize(c.w)
-	}
-	if c.lockID != "" && !c.colsSet {
-		c.cols = a.low.MACColumns(c.lockID, outputs)
-		c.colsSet = true
+// ready sizes the op's device scratch for p outputs per sample and output
+// row — bias, accumulators, requantized codes, the MMU's input codes when
+// the run is on it — and on the GEMM refreshes the sign mask the epilogue
+// reads. It returns the op's state.
+func (c *macCore) ready(a *Accelerator, s *state, p int) *opState {
+	st := &s.ops[c.slot]
+	st.bias = tensor.EnsureInt32s(st.bias, c.m)
+	st.acc = tensor.EnsureInt32s(st.acc, c.m*p)
+	if c.relu {
+		st.q8 = ensureInt8s(st.q8, c.m*p)
 	}
 	if a.onMMU {
-		return
+		st.x8 = ensureInt8s(st.x8, c.k*p)
+	} else if c.cols != nil {
+		st.mask.refresh(a.mmu, c.cols)
 	}
-	if c.wCodes == nil {
-		c.wCodes = a.ws.Get(c.wKey, len(c.qW.Data))
-		for i, v := range c.qW.Data {
-			c.wCodes.Data[i] = float64(v)
-		}
-	}
-	if c.cols != nil {
-		c.mask.refresh(a.mmu, c.cols)
-	}
+	return st
 }
 
 // finish completes one sample's MAC into dst, its [m, p] output segment;
@@ -148,25 +136,20 @@ func (c *macCore) prepare(a *Accelerator, outputs int) {
 // applies the lock as a sign mask. On the MMU the codes narrow to int8 and
 // stream through MatMulLockedInto. Either way the activation unit then
 // overwrites dst.
-func (c *macCore) finish(a *Accelerator, dst, x []float64, p int, inScale float64) {
+func (c *macCore) finish(a *Accelerator, st *opState, dst, x []float64, p int, inScale float64) {
 	accScale := inScale * c.qW.Scale
-	c.bias = QuantizeBiasInto(c.bias, c.b, accScale)
+	st.bias = QuantizeBiasInto(st.bias, c.b, accScale)
 	if a.onMMU {
-		if cap(c.x8) < len(x) {
-			c.x8 = make([]int8, len(x)) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
-		}
-		c.x8 = c.x8[:len(x)]
 		for i, v := range x {
-			c.x8[i] = int8(v)
+			st.x8[i] = int8(v)
 		}
-		c.acc = a.mmu.MatMulLockedInto(c.acc, c.qW.Data, c.m, c.k, c.x8, p, c.bias, c.cols)
+		st.acc = a.mmu.MatMulLockedInto(st.acc, c.qW.Data, c.m, c.k, st.x8, p, st.bias, c.cols)
 	} else {
-		c.acc = tensor.EnsureInt32s(c.acc, c.m*p)
 		for o := 0; o < c.m; o++ {
-			sums, row, b := dst[o*p:(o+1)*p], c.acc[o*p:(o+1)*p], c.bias[o]
+			sums, row, b := dst[o*p:(o+1)*p], st.acc[o*p:(o+1)*p], st.bias[o]
 			var mrow []int32
 			if c.cols != nil {
-				mrow = c.mask.neg[o*p : (o+1)*p]
+				mrow = st.mask.neg[o*p : (o+1)*p]
 			}
 			for j, v := range sums {
 				s := int32(int64(v)) + b
@@ -176,26 +159,16 @@ func (c *macCore) finish(a *Accelerator, dst, x []float64, p int, inScale float6
 				row[j] = s
 			}
 		}
-		a.mmu.accountMatMul(c.m, c.k, p, 0, c.mask.locked)
+		a.mmu.accountMatMul(c.m, c.k, p, 0, st.mask.locked)
 	}
-	c.q8 = finishMACSlice(dst, c.acc, accScale, c.relu, c.q8)
+	st.q8 = finishMACSlice(dst, st.acc, accScale, c.relu, st.q8)
 }
 
-// wipe zeroes what the op owns that derives from the key or the weights:
-// the sign mask, the int8 weight codes, the BN fold's weights and the
-// accumulator scratch. The widened codes live in the workspace, which
-// Release zeroes as a whole. A w or b the op does not own is the model's
-// tensor and is left alone.
-func (c *macCore) wipe() {
-	c.mask.wipe()
-	if c.qW != nil {
-		clear(c.qW.Data)
+// ensureInt8s grows s to length n, reusing capacity. Contents are
+// unspecified after a resize.
+func ensureInt8s(s []int8, n int) []int8 {
+	if cap(s) < n {
+		return make([]int8, n) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
 	}
-	if c.ownsWB {
-		clear(c.w.Data)
-		clear(c.b.Data)
-	}
-	clear(c.acc)
-	clear(c.x8)
-	clear(c.q8)
+	return s[:n]
 }

@@ -75,14 +75,19 @@ func goldenPredict(t testing.TB, a *Accelerator, m *core.Model, x *tensor.Tensor
 	return out
 }
 
-// assertMMUOnly fails if any op of a's plans ran on the GEMM: the golden
-// side must never share the tier it judges.
+// assertMMUOnly fails if any MAC op of a's programs ran on the GEMM: the
+// golden side must never share the tier it judges. Only the MMU narrows an
+// op's input codes into its x8 scratch, and only the GEMM builds sign
+// masks.
 func assertMMUOnly(t testing.TB, a *Accelerator) {
 	t.Helper()
-	for _, c := range a.plans {
-		eachOp(c.ops, func(op planOp) {
-			if lm, mc := opMask(op), opMAC(op); lm != nil && lm.built || mc != nil && mc.wCodes != nil {
-				t.Fatalf("golden %s ran on the GEMM tier", op.opName())
+	for _, s := range a.states {
+		eachOp(s.prog.ops, func(op planOp) {
+			if mc := opMAC(op); mc != nil && len(s.ops[mc.slot].x8) == 0 {
+				t.Fatalf("golden %s never ran on the MMU", op.opName())
+			}
+			if lm := opMask(s, op); lm != nil && lm.built {
+				t.Fatalf("golden %s built a GEMM sign mask", op.opName())
 			}
 		})
 	}
@@ -158,13 +163,13 @@ func TestPredictBatchMatchesGoldenAllSchemes(t *testing.T) {
 
 						for _, bn := range []int{1, 3, 5, n} {
 							fast := f.accel(t, cfg)
-							fplan, err := fast.planFor(f.model)
+							fs, err := fast.stateFor(f.model)
 							if err != nil {
 								t.Fatal(err)
 							}
 							for lo := 0; lo+bn <= n; lo += bn {
 								bx := tensor.FromSlice(x.Data[lo*feat:(lo+bn)*feat], bn, 1, ac.hw, ac.hw)
-								out, err := runOps(fast, fplan, bx)
+								out, err := runOps(fast, fs, fs.prog.ops, bx)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -309,11 +314,11 @@ func TestPredictBatchResNet18(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fplan, err := fast.planFor(m)
+	fs, err := fast.stateFor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runOps(fast, fplan, x)
+	out, err := runOps(fast, fs, fs.prog.ops, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,21 +344,21 @@ func TestPredictBatchDeterministicAcrossWorkers(t *testing.T) {
 	x := tensor.New(n, 1, 16, 16)
 	x.FillUniform(rng.New(4501), -1, 1)
 	a := f.accel(t, DefaultConfig())
-	plan, err := a.planFor(f.model)
+	s, err := a.stateFor(f.model)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	prev := tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(prev)
-	out, err := runOps(a, plan, x)
+	out, err := runOps(a, s, s.prog.ops, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := floatBits(out.Data)
 	for _, w := range []int{2, 8} {
 		tensor.SetMaxWorkers(w)
-		out, err := runOps(a, plan, x)
+		out, err := runOps(a, s, s.prog.ops, x)
 		if err != nil {
 			t.Fatal(err)
 		}

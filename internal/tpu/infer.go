@@ -20,12 +20,13 @@ import (
 // Models are compiled before execution (see plan.go): batch-norm folds
 // into the convolutions and residual blocks lower onto the vector unit, so
 // both the sequential CNNs of Table I and the ResNet-18 of Fig. 3 run on
-// the device.
+// the device. A device either compiles a model itself on first use, or
+// binds a Program compiled once for several devices (Bind).
 //
-// An Accelerator is not safe for concurrent use: compiled ops draw their
-// activation scratch from the device's shared Workspace, which assumes one
-// inference at a time — matching the single command queue of the modelled
-// hardware.
+// An Accelerator is not safe for concurrent use: its state for a program
+// holds the activation scratch, which assumes one inference at a time —
+// matching the single command queue of the modelled hardware. Devices
+// sharing one Program run concurrently.
 type Accelerator struct {
 	mmu    *MMU
 	sched  *schedule.Schedule
@@ -33,25 +34,18 @@ type Accelerator struct {
 	low    lockscheme.Lowering
 	bits   int
 
-	plans map[*core.Model]compiled
-	// ws holds every compiled op's output buffer and widened weight codes,
-	// keyed per op at compile time, plus the dead-after-return input
-	// scratch under accelerator-wide keys.
-	ws *tensor.Workspace
+	// states maps each model this device runs to its program and the
+	// device's state for it.
+	states map[*core.Model]*state
+	sealed bool
 	// onMMU routes the current run's MACs through the simulated MMU
-	// instead of the GEMM (batch.go); each entry point sets it.
-	onMMU bool
+	// instead of the GEMM (batch.go); each entry point sets it. sizing
+	// makes the current run only size the state's buffers (Bind).
+	onMMU  bool
+	sizing bool
 	// sampleShape and sampleView are PredictSample's reused [1, ...] header.
 	sampleShape []int
 	sampleView  tensor.Tensor
-}
-
-// compiled is one lowered model: its ops, and the device-private clone a
-// weight-space scheme unlocked for them (nil when the ops run on the
-// published model's own tensors). Release zeroes the clone.
-type compiled struct {
-	ops   []planOp
-	clone *core.Model
 }
 
 // NewAccelerator builds a trusted device simulator lowering the default
@@ -77,19 +71,27 @@ func NewAcceleratorFor(scheme lockscheme.Scheme, cfg Config, dev *keys.Device, s
 	if sched == nil {
 		return nil, fmt.Errorf("tpu: accelerator requires a schedule")
 	}
+	bits, err := datapathBits(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Accelerator{
+		mmu: mmu, sched: sched, bits: bits,
+		scheme: scheme, low: scheme.Lowering(dev, sched),
+		states: make(map[*core.Model]*state),
+	}, nil
+}
+
+// datapathBits resolves and checks cfg's datapath width.
+func datapathBits(cfg Config) (int, error) {
 	bits := cfg.Bits
 	if bits == 0 {
 		bits = 8
 	}
 	if bits < 2 || bits > 8 {
-		return nil, fmt.Errorf("tpu: datapath width %d bits out of supported range [2,8]", bits)
+		return 0, fmt.Errorf("tpu: datapath width %d bits out of supported range [2,8]", bits)
 	}
-	return &Accelerator{
-		mmu: mmu, sched: sched, bits: bits,
-		scheme: scheme, low: scheme.Lowering(dev, sched),
-		plans: make(map[*core.Model]compiled),
-		ws:    tensor.NewWorkspace(),
-	}, nil
+	return bits, nil
 }
 
 // Scheme returns the lock scheme this device lowers.
@@ -101,115 +103,127 @@ func (a *Accelerator) Stats() Stats { return a.mmu.Stats() }
 // ResetStats clears the activity counters.
 func (a *Accelerator) ResetStats() { a.mmu.ResetStats() }
 
-// quantize converts to the accelerator's datapath width.
-func (a *Accelerator) quantize(t *tensor.Tensor) *QTensor { return QuantizeTo(t, a.bits) }
-
-// planFor returns the compiled plan for m, lowering it on first use. The
-// scheme's compile-time hooks run here: the model's scheme stamp must match
-// the accelerator's, and weight-space schemes get their device-private
-// unlocked clone before lowering (the clone is kept beside the plan for
-// Release; the published model m remains the map key and is never mutated).
-func (a *Accelerator) planFor(m *core.Model) ([]planOp, error) {
-	c, ok := a.plans[m]
-	if !ok {
-		if got := lockscheme.Canonical(m.Scheme); got != a.scheme.Name() {
-			//hpnn:allow(noalloc) cold error path: scheme mismatch rejected at first compile
-			return nil, fmt.Errorf("tpu: model published under scheme %q cannot run on a %q accelerator", got, a.scheme.Name())
-		}
-		//hpnn:allow(noalloc) compile-once lowering; weight-space schemes clone/unlock here, before serving starts
-		clone, err := a.low.UnlockModel(m)
-		if err != nil {
-			return nil, err
-		}
-		exec := m
-		if clone != nil {
-			exec = clone
-		}
-		//hpnn:allow(noalloc) compile-once lowering; Compile runs it eagerly before serving starts
-		ops, err := compileModel(a, exec)
-		if err != nil {
-			return nil, err
-		}
-		c = compiled{ops: ops, clone: clone}
-		a.plans[m] = c
+// stateFor returns the device's state for m, compiling a program the
+// device owns on first use.
+func (a *Accelerator) stateFor(m *core.Model) (*state, error) {
+	if s, ok := a.states[m]; ok {
+		return s, nil
 	}
-	return c.ops, nil
+	//hpnn:allow(noalloc) compile-once lowering; weight-space schemes clone/unlock here, before serving starts
+	p, err := compileProgram(a.scheme, a.low, a.bits, a.mmu.dev, a.sched, m)
+	if err != nil {
+		return nil, err
+	}
+	return a.newState(p, true), nil //hpnn:allow(noalloc) compile-once state; serving shards Bind instead
+}
+
+func (a *Accelerator) newState(p *Program, own bool) *state {
+	s := &state{prog: p, own: own, ws: tensor.NewWorkspace(), ops: make([]opState, p.slots)}
+	if a.sealed {
+		s.ws.Seal()
+	}
+	a.states[p.model] = s
+	return s
 }
 
 // Compile eagerly lowers m for execution on this device, so the first
-// inference pays no compilation cost. Compiled ops own all their mutable
-// state (activation scratch, quantized weight caches, cloned vector-unit
-// layers), which is what lets the serving layer run one accelerator per
-// shard over a single shared model with no cross-shard sharing.
+// inference pays no compilation cost. The device owns the program it
+// compiles: Release wipes it.
 func (a *Accelerator) Compile(m *core.Model) error {
-	_, err := a.planFor(m)
+	_, err := a.stateFor(m)
 	return err
 }
 
-// Seal freezes the device's activation workspace: after one warmup
-// inference has sized every compiled op's buffers, sealing turns any
-// further buffer growth into a panic, enforcing the steady-state
-// zero-allocation contract. Serving shards seal after warmup; inputs must
-// then keep the warmed shape.
-func (a *Accelerator) Seal() { a.ws.Seal() }
+// Bind makes the device run p's model on p, without compiling it again,
+// and sizes the device's state for batches of up to maxBatch samples
+// without running any MAC: each op's buffers are allocated from the shapes
+// the program knows, so Seal can follow at once. p must have been compiled
+// for this device's scheme, datapath width, key device and schedule. The
+// device does not own p: Release wipes only the device's state, and p is
+// released by whoever compiled it, once no device runs it.
+func (a *Accelerator) Bind(p *Program, maxBatch int) error {
+	if p.scheme != a.scheme.Name() || p.bits != a.bits || p.dev != a.mmu.dev || p.sched != a.sched {
+		return fmt.Errorf("tpu: program compiled for another scheme, datapath, device or schedule")
+	}
+	if _, dup := a.states[p.model]; dup {
+		return fmt.Errorf("tpu: device already runs this model")
+	}
+	if maxBatch < 1 {
+		return fmt.Errorf("tpu: bind batch %d < 1", maxBatch)
+	}
+	s := a.newState(p, false)
+	cfg := p.model.Config
+	// A shape-only header: the sizing pass reads shapes, never data.
+	in := tensor.Tensor{Shape: []int{maxBatch, cfg.InC, cfg.InH, cfg.InW}}
+	a.onMMU = a.mmu.cfg.GateLevel || a.mmu.cfg.Systolic
+	a.sizing = true
+	_, err := runOps(a, s, p.ops, &in)
+	a.sizing = false
+	if err != nil {
+		s.wipe()
+		delete(a.states, p.model)
+	}
+	return err
+}
+
+// Seal freezes the device's workspaces: once every op's buffers have been
+// sized (by Bind, or by a first inference at the largest batch), sealing
+// turns any further buffer growth into a panic, enforcing the steady-state
+// zero-allocation contract. Serving shards seal after Bind; inputs must
+// then keep a batch no larger than the sized one.
+func (a *Accelerator) Seal() {
+	a.sealed = true
+	//hpnn:allow(determinism) order-independent
+	for _, s := range a.states {
+		s.ws.Seal()
+	}
+}
 
 // WorkspaceSealed reports whether Seal has frozen the workspace.
-func (a *Accelerator) WorkspaceSealed() bool { return a.ws.Sealed() }
+func (a *Accelerator) WorkspaceSealed() bool { return a.sealed }
 
-// Release drops every compiled plan and the workspace, returning the
-// device's memory (output buffers, weight codes, cloned vector-unit layers)
-// to the garbage collector and lifting any seal. It is the eviction hook of
-// the multi-tenant serving registry: a released device is empty but fully
-// reusable — the next Compile/Predict lowers from scratch, exactly like a
-// fresh accelerator. Not safe to call concurrently with an inference on the
-// same device.
+// Release drops every program binding and its state, returning the
+// device's memory to the garbage collector and lifting any seal. It is the
+// eviction hook of the multi-tenant serving registry: a released device is
+// empty but fully reusable — the next Compile/Predict lowers from scratch,
+// exactly like a fresh accelerator. Not safe to call concurrently with an
+// inference on the same device.
 //
-// Before dropping anything, Release zeroes what the device owns, so an
-// evicted tenant leaves neither key bits nor plaintext weights behind for
-// the next occupant: every op's sign mask, int8 weight codes and
-// accumulator scratch (residual blocks included), the BN-folded weights,
-// every parameter of a weight-space scheme's unlocked clone, and every
-// workspace buffer (the widened codes and the activations). It never writes
-// the published model: without a BN fold the hpnn-xor plan's float weights
-// are the published tensors, shared by every shard.
+// Before dropping anything, Release zeroes the device's state for every
+// program — every op's output buffer (the vector unit's included), the
+// input scratch, each op's sign mask and integer scratch — so an evicted
+// tenant leaves neither key bits nor activations behind for the next
+// occupant. A program the device compiled itself is released too
+// (Program.Release: weight codes, the BN fold, a weight-space scheme's
+// unlocked clone); a bound program is left to its owner. The published
+// model is never written.
 func (a *Accelerator) Release() {
 	//hpnn:allow(determinism) order-independent full clear (the compiler's map-clear idiom)
-	for m, c := range a.plans {
-		wipeOps(c.ops)
-		if c.clone != nil {
-			for _, p := range c.clone.Net.Params() {
-				clear(p.Value.Data)
-			}
+	for m, s := range a.states {
+		s.wipe()
+		if s.own {
+			s.prog.Release()
 		}
-		delete(a.plans, m)
+		delete(a.states, m)
 	}
-	a.ws.Reset()
+	a.sealed = false
 }
 
-// wipeOps zeroes the key- and weight-derived state of compiled ops,
-// descending into residual blocks. The vector ops hold nothing derived
-// from either.
-func wipeOps(ops []planOp) {
-	for _, op := range ops {
-		switch o := op.(type) {
-		case *convOp:
-			o.wipe()
-		case *denseOp:
-			o.wipe()
-		case *lockReluOp:
-			o.mask.wipe()
-		case *residualOp:
-			wipeOps(o.body)
-			wipeOps(o.skip)
-			wipeOps(o.post)
+// WorkspaceBytes reports the bytes the device holds: its state for every
+// program (output buffers, input scratch, sign masks and MAC scratch) plus
+// the programs it compiled itself. A bound program is counted by its
+// owner, once however many devices run it.
+func (a *Accelerator) WorkspaceBytes() int {
+	total := 0
+	//hpnn:allow(determinism) order-independent sum
+	for _, s := range a.states {
+		total += s.bytes()
+		if s.own {
+			total += s.prog.Bytes()
 		}
 	}
+	return total
 }
-
-// WorkspaceBytes reports the bytes held by the device's workspace: the
-// compiled ops' output buffers, the shared input scratch and the GEMM's
-// float64 weight codes — the per-shard memory cost of the serving layer.
-func (a *Accelerator) WorkspaceBytes() int { return a.ws.Bytes() }
 
 // PredictSample runs a single sample x ([C, H, W] — no batch dimension)
 // through the model as a batch of one and returns its argmax class. Every
@@ -230,14 +244,14 @@ func (a *Accelerator) PredictSample(m *core.Model, x *tensor.Tensor) (int, error
 //
 //hpnn:noalloc
 func (a *Accelerator) runSample(m *core.Model, x *tensor.Tensor) (*tensor.Tensor, error) {
-	plan, err := a.planFor(m)
+	s, err := a.stateFor(m)
 	if err != nil {
 		return nil, err
 	}
 	a.sampleShape = append(a.sampleShape[:0], 1)
 	a.sampleShape = append(a.sampleShape, x.Shape...) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
 	a.onMMU = true
-	return runOps(a, plan, tensor.ViewInto(&a.sampleView, x.Data, a.sampleShape...))
+	return runOps(a, s, s.prog.ops, tensor.ViewInto(&a.sampleView, x.Data, a.sampleShape...))
 }
 
 // PredictBatchInto runs the micro-batch x ([N, C, H, W]) through the model,
@@ -249,7 +263,7 @@ func (a *Accelerator) runSample(m *core.Model, x *tensor.Tensor) (*tensor.Tensor
 //
 //hpnn:noalloc
 func (a *Accelerator) PredictBatchInto(preds []int, m *core.Model, x *tensor.Tensor) error {
-	plan, err := a.planFor(m)
+	s, err := a.stateFor(m)
 	if err != nil {
 		return err
 	}
@@ -266,7 +280,7 @@ func (a *Accelerator) PredictBatchInto(preds []int, m *core.Model, x *tensor.Ten
 		return fmt.Errorf("tpu: prediction buffer %d shorter than batch %d", len(preds), n)
 	}
 	a.onMMU = a.mmu.cfg.GateLevel || a.mmu.cfg.Systolic
-	out, err := runOps(a, plan, x)
+	out, err := runOps(a, s, s.prog.ops, x)
 	if err != nil {
 		return err
 	}

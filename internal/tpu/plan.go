@@ -2,10 +2,14 @@ package tpu
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"hpnn/internal/core"
+	"hpnn/internal/keys"
+	"hpnn/internal/lockscheme"
 	"hpnn/internal/nn"
+	"hpnn/internal/schedule"
 	"hpnn/internal/tensor"
 )
 
@@ -27,51 +31,181 @@ import (
 // int8 codes with the lock as a sign-mask epilogue, or the simulated MMU
 // when the run is on it (PredictSample, GateLevel, Systolic).
 //
-// Ops are stateful: each owns its output buffer, drawn from the
-// accelerator's Workspace under a key assigned at compile time (unique
-// within a plan, so no two live ops ever share a buffer), plus cached
-// quantized weights and column assignments. Input scratch that is dead once
-// its op returns (the column matrix, the image codes, the dense input
-// codes) lives under accelerator-wide keys: a device runs one inference at
-// a time. After the first batch a steady-state inference reuses every
-// buffer, which is what makes the per-bit-trial queries of the attack
-// experiments cheap.
+// A compiled model is split in two: the read-only Program (below) and the
+// per-device state, which holds what a run writes — every op's output
+// buffer and the dead-after-return input scratch (a keyed Workspace), and
+// per op the sign mask derived from the device's key bits plus the MAC
+// step's integer scratch. Each op finds its buffers through a key and a
+// slot assigned at compile time, so any number of devices run one Program
+// at once, each on its own state.
+//
+// After the state is sized (lazily by a first batch, or up front by Bind's
+// sizing pass) a steady-state inference reuses every buffer, which is what
+// makes the per-bit-trial queries of the attack experiments cheap.
 //
 // This is what lets the full ResNet-18 of Fig. 3/Fig. 5 execute on the
 // simulated device, not just the sequential CNNs of Table I.
 
 // planOp is one compiled accelerator operation: run executes it over a
-// [N, ...] activation block and returns the op's output block.
+// [N, ...] activation block on device a with a's state s for the program,
+// and returns the op's output block. When a.sizing is set, run only sizes
+// the state's buffers for the block's shape and returns the (unwritten)
+// output: it reads the input's shape, never its data.
 type planOp interface {
-	run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error)
+	run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error)
 	opName() string
 }
 
 // Workspace keys of the dead-after-return input scratch, shared by every op
-// of every plan on a device.
+// of a program on one device.
 const (
 	colKey = "conv.col" // the gathered column matrix, quantized in place
 	imgKey = "conv.img" // stride-1 shortcut: the image's codes
 	inKey  = "dense.in" // the dense input's codes
 )
 
-// planCompiler assigns workspace keys while lowering; prefix keeps keys
-// from different compilations on one accelerator distinct.
+// Program is a model compiled for the accelerator, read-only once built:
+// the fused ops with their geometry, the (batch-norm folded) weights' int8
+// and widened codes, biases and lock column assignments, plus the unlocked
+// clone a weight-space scheme executes — everything the published weights,
+// the key device's unlock and the private schedule determine. Every device
+// built with the scheme, datapath width, key device and schedule it was
+// compiled for can Bind it, so the serving layer's shards share one
+// Program per tenant.
+type Program struct {
+	model  *core.Model // the published model it was compiled from
+	scheme string
+	bits   int
+	dev    *keys.Device
+	sched  *schedule.Schedule
+	ops    []planOp
+	slots  int         // per-device op state entries
+	clone  *core.Model // weight-space schemes' unlocked clone, nil otherwise
+}
+
+// NewProgram compiles m once for accelerators built with scheme, cfg, dev
+// and sched (see NewAcceleratorFor): the scheme's compile-time hooks run
+// here, so a weight-space scheme unlocks its private clone once, and every
+// weight is quantized and widened once. Bind it to each device that runs
+// it; Release it once no device does.
+func NewProgram(scheme lockscheme.Scheme, cfg Config, dev *keys.Device, sched *schedule.Schedule, m *core.Model) (*Program, error) {
+	if scheme == nil {
+		return nil, fmt.Errorf("tpu: program requires a lock scheme")
+	}
+	if sched == nil {
+		return nil, fmt.Errorf("tpu: program requires a schedule")
+	}
+	bits, err := datapathBits(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return compileProgram(scheme, scheme.Lowering(dev, sched), bits, dev, sched, m)
+}
+
+// compileProgram checks the model's scheme stamp against the scheme, lets
+// the lowering unlock a weight-space clone (the published model m is never
+// mutated), and lowers the executed model.
+func compileProgram(scheme lockscheme.Scheme, low lockscheme.Lowering, bits int, dev *keys.Device, sched *schedule.Schedule, m *core.Model) (*Program, error) {
+	if got := lockscheme.Canonical(m.Scheme); got != scheme.Name() {
+		return nil, fmt.Errorf("tpu: model published under scheme %q cannot run on a %q accelerator", got, scheme.Name())
+	}
+	clone, err := low.UnlockModel(m)
+	if err != nil {
+		return nil, err
+	}
+	exec := m
+	if clone != nil {
+		exec = clone
+	}
+	c := &planCompiler{low: low, bits: bits}
+	ops, err := c.compile(exec.Net)
+	if err != nil {
+		return nil, err
+	}
+	return &Program{
+		model: m, scheme: scheme.Name(), bits: bits, dev: dev, sched: sched,
+		ops: ops, slots: c.slots, clone: clone,
+	}, nil
+}
+
+// Bytes reports the memory the program holds beyond the published model:
+// the widened and int8 weight codes, the batch-norm fold's biases and a
+// weight-space scheme's unlocked clone.
+func (p *Program) Bytes() int {
+	total := 0
+	if p.clone != nil {
+		for _, prm := range p.clone.Net.Params() {
+			total += 8 * len(prm.Value.Data)
+		}
+	}
+	eachMAC(p.ops, func(c *macCore) {
+		total += 8*len(c.wCodes) + len(c.qW.Data)
+		if c.ownsB {
+			total += 8 * len(c.b.Data)
+		}
+	})
+	return total
+}
+
+// Release zeroes what the program owns that derives from the weights or
+// the key: every op's int8 and widened codes, the batch-norm fold's
+// biases, and every parameter of a weight-space scheme's unlocked clone,
+// whose plaintext (against the published model) would give the key away.
+// It never writes the published model: without a batch-norm fold the
+// hpnn-xor program's biases are the published tensors. Call it once no
+// device runs the program.
+func (p *Program) Release() {
+	eachMAC(p.ops, func(c *macCore) {
+		clear(c.qW.Data)
+		clear(c.wCodes)
+		if c.ownsB {
+			clear(c.b.Data)
+		}
+	})
+	if p.clone != nil {
+		for _, prm := range p.clone.Net.Params() {
+			clear(prm.Value.Data)
+		}
+	}
+}
+
+// eachMAC calls fn on every fused conv and dense op, descending into
+// residual blocks.
+func eachMAC(ops []planOp, fn func(*macCore)) {
+	for _, op := range ops {
+		switch o := op.(type) {
+		case *convOp:
+			fn(&o.macCore)
+		case *denseOp:
+			fn(&o.macCore)
+		case *residualOp:
+			eachMAC(o.body, fn)
+			eachMAC(o.skip, fn)
+			eachMAC(o.post, fn)
+		}
+	}
+}
+
+// planCompiler assigns workspace keys and state slots while lowering, and
+// lowers each lock and quantizes each weight once.
 type planCompiler struct {
-	prefix string
-	n      int
+	low   lockscheme.Lowering
+	bits  int
+	n     int
+	slots int
 }
 
 func (c *planCompiler) key(kind string) string {
 	c.n++
-	return c.prefix + kind + "#" + strconv.Itoa(c.n)
+	return kind + "#" + strconv.Itoa(c.n)
+}
+
+func (c *planCompiler) slot() int {
+	c.slots++
+	return c.slots - 1
 }
 
 // compile lowers a network into accelerator operations.
-func compile(net *nn.Network) ([]planOp, error) {
-	return (&planCompiler{}).compile(net)
-}
-
 func (c *planCompiler) compile(net *nn.Network) ([]planOp, error) {
 	var ops []planOp
 	layers := net.Layers
@@ -84,10 +218,16 @@ func (c *planCompiler) compile(net *nn.Network) ([]planOp, error) {
 			}
 			ops = append(ops, op)
 			i += consumed
-		case *nn.MaxPool, *nn.AvgPool, *nn.GlobalAvgPool, *nn.Flatten:
-			ops = append(ops, &vectorOp{layer: cloneVectorLayer(layers[i])})
+		case *nn.MaxPool:
+			ops = append(ops, &poolOp{geom: l.Geom, max: true, outKey: c.key("maxpool"), slot: c.slot()})
+		case *nn.AvgPool:
+			ops = append(ops, &poolOp{geom: l.Geom, outKey: c.key("avgpool"), slot: c.slot()})
+		case *nn.GlobalAvgPool:
+			ops = append(ops, &globalPoolOp{outKey: c.key("gap")})
+		case *nn.Flatten:
+			ops = append(ops, &flattenOp{slot: c.slot()})
 		case *nn.ReLU:
-			ops = append(ops, &lockReluOp{relu: true, outKey: c.key("relu")})
+			ops = append(ops, &lockReluOp{relu: true, outKey: c.key("relu"), slot: c.slot()})
 		case *nn.Lock:
 			relu := false
 			if i+1 < len(layers) {
@@ -97,12 +237,13 @@ func (c *planCompiler) compile(net *nn.Network) ([]planOp, error) {
 				}
 			}
 			ops = append(ops, &lockReluOp{
-				lockID: l.ID, neurons: l.Neurons(), relu: relu, outKey: c.key("lockrelu"),
+				lockID: l.ID, neurons: l.Neurons(), relu: relu,
+				cols: c.low.MACColumns(l.ID, l.Neurons()), outKey: c.key("lockrelu"), slot: c.slot(),
 			})
 		case *nn.BatchNorm2D:
 			// Standalone BN (not behind a conv): eval-mode affine on the
 			// vector unit.
-			ops = append(ops, &vectorOp{layer: cloneBatchNorm(l)})
+			ops = append(ops, &batchNormOp{bn: l, outKey: c.key("bn")})
 		case *nn.Residual:
 			body, err := c.compile(l.Body)
 			if err != nil {
@@ -157,54 +298,42 @@ func (c *planCompiler) fuseMAC(layers []nn.Layer, i int) (planOp, int, error) {
 	switch mac := layers[i].(type) {
 	case *nn.Conv2D:
 		w, b := foldBN(mac.W.Value, mac.B.Value, mac.OutC, bn)
-		return &convOp{geom: mac.Geom, macCore: macCore{
-			w: w, b: b, m: mac.OutC, k: mac.Geom.ColRows(),
-			lockID: lockID, relu: relu, ownsWB: bn != nil,
-			outKey: c.key("conv.out"), wKey: c.key("conv.wcodes"),
-		}}, consumed, nil
+		g := mac.Geom
+		op := &convOp{geom: g, macCore: c.macCore(w, b, mac.OutC, g.ColRows(), g.OutH()*g.OutW(),
+			lockID, relu, bn != nil, "conv.out")}
+		if bn != nil {
+			// The folded weights live on only as codes: zero the clone now,
+			// so no plaintext copy outlives the compile.
+			clear(w.Data)
+		}
+		return op, consumed, nil
 	case *nn.Dense:
 		if bn != nil {
 			return nil, 0, fmt.Errorf("tpu: BatchNorm2D after Dense is not supported")
 		}
-		return &denseOp{macCore: macCore{
-			w: mac.W.Value, b: mac.B.Value, m: mac.Out, k: mac.In,
-			lockID: lockID, relu: relu,
-			outKey: c.key("dense.out"), wKey: c.key("dense.wcodes"),
-		}}, consumed, nil
+		return &denseOp{macCore: c.macCore(mac.W.Value, mac.B.Value, mac.Out, mac.In, 1,
+			lockID, relu, false, "dense.out")}, consumed, nil
 	default:
 		return nil, 0, fmt.Errorf("tpu: fuseMAC on non-MAC layer %s", layers[i].Name())
 	}
 }
 
-// cloneVectorLayer gives a compiled plan its own instance of a
-// parameter-free vector-unit layer. The nn layers own reusable forward
-// scratch, so sharing the model's instances across plans would race when
-// several accelerators — the serving layer's shards — execute one model
-// concurrently. These layers hold no trainable state, so a fresh instance
-// is semantically identical.
-func cloneVectorLayer(l nn.Layer) nn.Layer {
-	switch v := l.(type) {
-	case *nn.MaxPool:
-		return nn.NewMaxPool(v.Geom)
-	case *nn.AvgPool:
-		return nn.NewAvgPool(v.Geom)
-	case *nn.GlobalAvgPool:
-		return nn.NewGlobalAvgPool()
-	case *nn.Flatten:
-		return nn.NewFlatten()
+// macCore builds a MAC op's program side: W[m, k] quantized at the
+// datapath width and widened once for the GEMM, and the lock's column
+// assignment for the op's m·pix outputs per sample.
+func (c *planCompiler) macCore(w, b *tensor.Tensor, m, k, pix int, lockID string, relu, ownsB bool, kind string) macCore {
+	mc := macCore{
+		b: b, m: m, k: k, relu: relu, ownsB: ownsB,
+		qW: QuantizeTo(w, c.bits), outKey: c.key(kind), slot: c.slot(),
 	}
-	panic("tpu: cloneVectorLayer on unsupported layer " + l.Name())
-}
-
-// cloneBatchNorm gives a plan its own standalone batch-norm instance:
-// scratch is per-plan, while the parameters and running statistics stay
-// shared views of the model's tensors — eval-mode forward only reads them.
-func cloneBatchNorm(bn *nn.BatchNorm2D) *nn.BatchNorm2D {
-	return &nn.BatchNorm2D{
-		C: bn.C, Eps: bn.Eps, Momentum: bn.Momentum,
-		Gamma: bn.Gamma, Beta: bn.Beta,
-		RunMean: bn.RunMean, RunVar: bn.RunVar,
+	mc.wCodes = make([]float64, len(mc.qW.Data))
+	for i, v := range mc.qW.Data {
+		mc.wCodes[i] = float64(v)
 	}
+	if lockID != "" {
+		mc.cols = c.low.MACColumns(lockID, m*pix)
+	}
+	return mc
 }
 
 // foldBN folds eval-mode batch-norm into convolution weights and bias:
@@ -229,7 +358,73 @@ func foldBN(w, b *tensor.Tensor, outC int, bn *nn.BatchNorm2D) (*tensor.Tensor, 
 	return fw, fb
 }
 
+// --- per-device state ---------------------------------------------------------
+
+// state is one device's mutable side of a Program: a Workspace holding
+// every op's output buffer and the input scratch, and one opState per slot.
+type state struct {
+	prog *Program
+	own  bool // the device compiled prog itself, so its Release wipes prog too
+	ws   *tensor.Workspace
+	ops  []opState
+}
+
+// opState is the per-device scratch of one op: the sign mask built from
+// the device's key bits and the MAC step's integer buffers (conv, dense,
+// lockrelu), the per-sample input scales (dense), the argmax scratch
+// (max pooling) or the reshaped header (flatten).
+type opState struct {
+	mask   lockMask
+	bias   []int32
+	acc    []int32
+	x8     []int8 // the MMU's input codes
+	q8     []int8 // the activation unit's requantized codes
+	scales []float64
+	arg    []int
+	view   tensor.Tensor
+}
+
+// bytes reports the state's memory: the workspace plus the op scratch.
+func (s *state) bytes() int {
+	total := s.ws.Bytes()
+	for i := range s.ops {
+		o := &s.ops[i]
+		total += 4*(cap(o.mask.neg)+cap(o.bias)+cap(o.acc)) + cap(o.x8) + cap(o.q8) +
+			8*(cap(o.scales)+cap(o.arg))
+	}
+	return total
+}
+
+// wipe zeroes every buffer of the state — the workspace (outputs of every
+// op, vector unit included, and the input scratch) and each op's sign
+// mask and integer scratch — before dropping it, so no alias still reads
+// an activation or a key bit.
+func (s *state) wipe() {
+	s.ws.Reset()
+	for i := range s.ops {
+		o := &s.ops[i]
+		o.mask.wipe()
+		clear(o.bias[:cap(o.bias)])
+		clear(o.acc[:cap(o.acc)])
+		clear(o.x8[:cap(o.x8)])
+		clear(o.q8[:cap(o.q8)])
+		clear(o.scales[:cap(o.scales)])
+		clear(o.arg[:cap(o.arg)])
+		*o = opState{}
+	}
+}
+
 // --- ops ---------------------------------------------------------------------
+
+// checkImage rejects an activation block whose per-sample shape is not the
+// [C, H, W] image g expects.
+func checkImage(op string, act *tensor.Tensor, g tensor.ConvGeom) error {
+	if len(act.Shape) != 4 || act.Shape[1] != g.InC || act.Shape[2] != g.InH || act.Shape[3] != g.InW {
+		//hpnn:allow(noalloc) cold error path
+		return fmt.Errorf("tpu: %s input %v does not match geometry %+v", op, act.Shape, g)
+	}
+	return nil
+}
 
 // convOp is a fused convolution (+BN) (+lock) (+ReLU): per sample, W[OutC,
 // C·KH·KW] times the sample's column matrix [C·KH·KW, OutH·OutW].
@@ -240,16 +435,14 @@ type convOp struct {
 
 func (o *convOp) opName() string { return "conv" }
 
-func (o *convOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
+func (o *convOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error) {
 	g := o.geom
-	if len(act.Shape) != 4 || act.Shape[1] != g.InC || act.Shape[2] != g.InH || act.Shape[3] != g.InW {
-		//hpnn:allow(noalloc) cold error path
-		return nil, fmt.Errorf("tpu: conv input %v does not match geometry %+v", act.Shape, g)
+	if err := checkImage("conv", act, g); err != nil {
+		return nil, err
 	}
 	n, pix := act.Shape[0], g.OutH()*g.OutW()
-	o.prepare(a, o.m*pix)
-	out := a.ws.Get(o.outKey, n, o.m, g.OutH(), g.OutW())
-	col := a.ws.Get(colKey, o.k, pix)
+	out := s.ws.Get(o.outKey, n, o.m, g.OutH(), g.OutW())
+	col := s.ws.Get(colKey, o.k, pix)
 
 	// With stride 1 every input pixel lands in at least one receptive
 	// field (the gathered offsets ky−Pad … InH+Pad−KH+ky−Pad cover
@@ -263,7 +456,11 @@ func (o *convOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error)
 	// reference shares nothing with the shortcut.
 	var img *tensor.Tensor
 	if g.Stride == 1 && !a.onMMU {
-		img = a.ws.Get(imgKey, g.InLen())
+		img = s.ws.Get(imgKey, g.InLen())
+	}
+	st := o.ready(a, s, pix)
+	if a.sizing {
+		return out, nil
 	}
 	in, per := g.InLen(), o.m*pix
 	for i := 0; i < n; i++ {
@@ -280,59 +477,162 @@ func (o *convOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error)
 		}
 		seg := out.Data[i*per : (i+1)*per]
 		if !a.onMMU {
-			tensor.MatMulSliceInto(seg, o.wCodes.Data, col.Data, o.m, o.k, pix)
+			tensor.MatMulSliceInto(seg, o.wCodes, col.Data, o.m, o.k, pix)
 		}
-		o.finish(a, seg, col.Data, pix, scale)
+		o.finish(a, st, seg, col.Data, pix, scale)
 	}
 	return out, nil
 }
 
 // denseOp is a fused fully-connected (+lock) (+ReLU): W[Out, In] times each
 // sample's input codes.
-type denseOp struct {
-	macCore
-	scales []float64 // per-sample input scales
-}
+type denseOp struct{ macCore }
 
 func (o *denseOp) opName() string { return "dense" }
 
-func (o *denseOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(act.Shape) < 2 || act.Len() != act.Shape[0]*o.k {
+func (o *denseOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error) {
+	if len(act.Shape) < 2 || tensor.Prod(act.Shape[1:]) != o.k {
 		//hpnn:allow(noalloc) cold error path
 		return nil, fmt.Errorf("tpu: dense input %v does not match layer width %d", act.Shape, o.k)
 	}
 	n := act.Shape[0]
-	o.prepare(a, o.m)
 	// Per-sample quantization, then on the GEMM ONE product over the whole
 	// micro-batch: the sample rows' codes times the transposed weight
 	// codes, with the exact sums landing in the output block.
-	x := a.ws.Get(inKey, n, o.k)
-	o.scales = tensor.EnsureFloats(o.scales, n)
-	for i := 0; i < n; i++ {
-		o.scales[i] = quantizeSlice(x.Data[i*o.k:(i+1)*o.k], act.Data[i*o.k:(i+1)*o.k], a.bits)
+	x := s.ws.Get(inKey, n, o.k)
+	out := s.ws.Get(o.outKey, n, o.m)
+	st := o.ready(a, s, 1)
+	st.scales = tensor.EnsureFloats(st.scales, n)
+	if a.sizing {
+		return out, nil
 	}
-	out := a.ws.Get(o.outKey, n, o.m)
+	for i := 0; i < n; i++ {
+		st.scales[i] = quantizeSlice(x.Data[i*o.k:(i+1)*o.k], act.Data[i*o.k:(i+1)*o.k], a.bits)
+	}
 	if !a.onMMU {
-		tensor.MatMulNTSliceInto(out.Data, x.Data, o.wCodes.Data, n, o.k, o.m)
+		tensor.MatMulNTSliceInto(out.Data, x.Data, o.wCodes, n, o.k, o.m)
 	}
 	for i := 0; i < n; i++ {
-		o.finish(a, out.Data[i*o.m:(i+1)*o.m], x.Data[i*o.k:(i+1)*o.k], 1, o.scales[i])
+		o.finish(a, st, out.Data[i*o.m:(i+1)*o.m], x.Data[i*o.k:(i+1)*o.k], 1, st.scales[i])
 	}
 	return out, nil
 }
 
-// vectorOp runs a pooling/reshape layer, or a standalone eval-mode
-// batch-norm (rare: only when a BN is not preceded by a conv), on the vector
-// unit. The nn layers natively handle the leading batch dimension with
-// per-sample workers over disjoint regions, so each sample's result is
-// bitwise-independent of its batch; each layer owns its own reusable
-// scratch.
-type vectorOp struct{ layer nn.Layer }
+// poolOp max- or average-pools each sample on the vector unit, into the
+// device state, where Release zeroes it with every other output.
+type poolOp struct {
+	geom   tensor.ConvGeom
+	max    bool
+	outKey string
+	slot   int
+}
 
-func (o *vectorOp) opName() string { return "vector:" + o.layer.Name() }
+func (o *poolOp) opName() string {
+	if o.max {
+		return "maxpool"
+	}
+	return "avgpool"
+}
 
-func (o *vectorOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	return o.layer.Forward(act, false), nil
+func (o *poolOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error) {
+	g := o.geom
+	if err := checkImage(o.opName(), act, g); err != nil {
+		return nil, err
+	}
+	n := act.Shape[0]
+	out := s.ws.Get(o.outKey, n, g.InC, g.OutH(), g.OutW())
+	in, per := g.InLen(), g.InC*g.OutH()*g.OutW()
+	st := &s.ops[o.slot]
+	if o.max {
+		st.arg = tensor.EnsureInts(st.arg, per)
+	}
+	if a.sizing {
+		return out, nil
+	}
+	for i := 0; i < n; i++ {
+		dst, src := out.Data[i*per:(i+1)*per], act.Data[i*in:(i+1)*in]
+		if o.max {
+			tensor.MaxPool2D(dst, st.arg, src, g)
+		} else {
+			tensor.AvgPool2D(dst, src, g)
+		}
+	}
+	return out, nil
+}
+
+// globalPoolOp averages each channel's spatial map on the vector unit,
+// [N, C, H, W] → [N, C].
+type globalPoolOp struct{ outKey string }
+
+func (o *globalPoolOp) opName() string { return "gap" }
+
+func (o *globalPoolOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error) {
+	if len(act.Shape) != 4 {
+		//hpnn:allow(noalloc) cold error path
+		return nil, fmt.Errorf("tpu: global pool input %v is not [N, C, H, W]", act.Shape)
+	}
+	n, c, pix := act.Shape[0], act.Shape[1], act.Shape[2]*act.Shape[3]
+	out := s.ws.Get(o.outKey, n, c)
+	if a.sizing {
+		return out, nil
+	}
+	inv := 1 / float64(pix)
+	for i := 0; i < n*c; i++ {
+		sum := 0.0
+		for _, v := range act.Data[i*pix : (i+1)*pix] {
+			sum += v
+		}
+		out.Data[i] = sum * inv
+	}
+	return out, nil
+}
+
+// flattenOp reshapes each sample to a vector: a header over its input,
+// kept in the device state.
+type flattenOp struct{ slot int }
+
+func (o *flattenOp) opName() string { return "flatten" }
+
+func (o *flattenOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error) {
+	v := &s.ops[o.slot].view
+	v.Shape = append(v.Shape[:0], act.Shape[0], tensor.Prod(act.Shape[1:])) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
+	v.Data = act.Data
+	return v, nil
+}
+
+// batchNormOp is a standalone eval-mode batch-norm on the vector unit
+// (rare: only when a BN is not preceded by a conv). It reads the executed
+// model's parameters and running statistics.
+type batchNormOp struct {
+	bn     *nn.BatchNorm2D
+	outKey string
+}
+
+func (o *batchNormOp) opName() string { return "batchnorm" }
+
+func (o *batchNormOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error) {
+	b := o.bn
+	if len(act.Shape) != 4 || act.Shape[1] != b.C {
+		//hpnn:allow(noalloc) cold error path
+		return nil, fmt.Errorf("tpu: batch-norm over %d channels got %v", b.C, act.Shape)
+	}
+	out := s.ws.Get(o.outKey, act.Shape...)
+	if a.sizing {
+		return out, nil
+	}
+	n, c, pix := act.Shape[0], b.C, act.Shape[2]*act.Shape[3]
+	for ch := 0; ch < c; ch++ {
+		mean := b.RunMean.Data[ch]
+		std := math.Sqrt(b.RunVar.Data[ch] + b.Eps)
+		g, be := b.Gamma.Value.Data[ch], b.Beta.Value.Data[ch]
+		for i := 0; i < n; i++ {
+			base := (i*c + ch) * pix
+			for p := 0; p < pix; p++ {
+				out.Data[base+p] = g*(act.Data[base+p]-mean)/std + be
+			}
+		}
+	}
+	return out, nil
 }
 
 // lockReluOp applies a standalone lock (XOR-negation on the vector unit's
@@ -341,41 +641,40 @@ type lockReluOp struct {
 	lockID  string
 	neurons int
 	relu    bool
-
-	outKey  string
-	cols    []int
-	colsSet bool
-	mask    lockMask
+	// cols is the lock's column assignment; nil means the scheme places no
+	// lock on this bus (weight-space schemes protect parameters, not
+	// activations).
+	cols   []int
+	outKey string
+	slot   int
 }
 
 func (o *lockReluOp) opName() string { return "lockrelu" }
 
-func (o *lockReluOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	out := a.ws.Get(o.outKey, act.Shape...)
-	copy(out.Data, act.Data)
+func (o *lockReluOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error) {
 	if o.lockID != "" {
-		if per := act.Len() / maxInt(act.Shape[0], 1); per != o.neurons {
+		if per := tensor.Prod(act.Shape[1:]); per != o.neurons {
 			//hpnn:allow(noalloc) cold error path
 			return nil, fmt.Errorf("tpu: lock %s sized %d applied to %d activations per sample", o.lockID, o.neurons, per)
 		}
-		if !o.colsSet {
-			o.cols = a.low.MACColumns(o.lockID, o.neurons)
-			o.colsSet = true
+	}
+	out := s.ws.Get(o.outKey, act.Shape...)
+	mask := &s.ops[o.slot].mask
+	// On the MMU each key bit comes from the device's column probe, on the
+	// GEMM from the op's cached sign mask.
+	if o.cols != nil && !a.onMMU {
+		mask.refresh(a.mmu, o.cols)
+	}
+	if a.sizing {
+		return out, nil
+	}
+	copy(out.Data, act.Data)
+	for j, c := range o.cols {
+		if a.onMMU && a.mmu.columnBit(c) == 0 || !a.onMMU && mask.neg[j] == 0 {
+			continue
 		}
-		// A nil assignment means the scheme places no lock on this bus
-		// (weight-space schemes protect parameters, not activations). On
-		// the MMU each key bit comes from the device's column probe, on the
-		// GEMM from the op's cached sign mask.
-		if o.cols != nil && !a.onMMU {
-			o.mask.refresh(a.mmu, o.cols)
-		}
-		for j, c := range o.cols {
-			if a.onMMU && a.mmu.columnBit(c) == 0 || !a.onMMU && o.mask.neg[j] == 0 {
-				continue
-			}
-			for i := j; i < len(out.Data); i += o.neurons {
-				out.Data[i] = -out.Data[i]
-			}
+		for i := j; i < len(out.Data); i += o.neurons {
+			out.Data[i] = -out.Data[i]
 		}
 	}
 	if o.relu {
@@ -397,32 +696,34 @@ type residualOp struct {
 
 func (o *residualOp) opName() string { return "residual" }
 
-func (o *residualOp) run(a *Accelerator, act *tensor.Tensor) (*tensor.Tensor, error) {
-	body, err := runOps(a, o.body, act)
+func (o *residualOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error) {
+	body, err := runOps(a, s, o.body, act)
 	if err != nil {
 		return nil, err
 	}
 	skip := act
 	if o.skip != nil {
-		if skip, err = runOps(a, o.skip, act); err != nil {
+		if skip, err = runOps(a, s, o.skip, act); err != nil {
 			return nil, err
 		}
 	}
-	if body.Len() != skip.Len() {
+	if tensor.Prod(body.Shape) != tensor.Prod(skip.Shape) {
 		//hpnn:allow(noalloc) cold error path
 		return nil, fmt.Errorf("tpu: residual join mismatch %v vs %v", body.Shape, skip.Shape)
 	}
-	sum := a.ws.Get(o.sumKey, body.Shape...)
-	for i := range sum.Data {
-		sum.Data[i] = body.Data[i] + skip.Data[i]
+	sum := s.ws.Get(o.sumKey, body.Shape...)
+	if !a.sizing {
+		for i := range sum.Data {
+			sum.Data[i] = body.Data[i] + skip.Data[i]
+		}
 	}
-	return runOps(a, o.post, sum)
+	return runOps(a, s, o.post, sum)
 }
 
-func runOps(a *Accelerator, ops []planOp, act *tensor.Tensor) (*tensor.Tensor, error) {
+func runOps(a *Accelerator, s *state, ops []planOp, act *tensor.Tensor) (*tensor.Tensor, error) {
 	var err error
 	for _, op := range ops {
-		if act, err = op.run(a, act); err != nil {
+		if act, err = op.run(a, s, act); err != nil {
 			return nil, fmt.Errorf("%s: %w", op.opName(), err) //hpnn:allow(noalloc) cold error path
 		}
 	}
@@ -445,12 +746,4 @@ func finishMACSlice(dst []float64, acc []int32, accScale float64, relu bool, q8 
 		dst[i] = float64(v) * accScale
 	}
 	return q8
-}
-
-// compileModel lowers m for execution on a. Workspace keys get a prefix
-// unique to this compilation, so plans for different models on the same
-// device never alias buffers.
-func compileModel(a *Accelerator, m *core.Model) ([]planOp, error) {
-	c := &planCompiler{prefix: fmt.Sprintf("m%d/", len(a.plans))}
-	return c.compile(m.Net)
 }

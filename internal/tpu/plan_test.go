@@ -6,6 +6,7 @@ import (
 
 	"hpnn/internal/core"
 	"hpnn/internal/keys"
+	"hpnn/internal/lockscheme"
 	"hpnn/internal/nn"
 	"hpnn/internal/rng"
 	"hpnn/internal/schedule"
@@ -111,36 +112,40 @@ func TestNarrowDatapathDegrades(t *testing.T) {
 	}
 }
 
-func TestCompilePlanStructure(t *testing.T) {
-	cnn1 := core.MustModel(core.Config{Arch: core.CNN1, InC: 1, InH: 16, InW: 16, Seed: 1})
-	plan, err := compile(cnn1.Net)
+// compileDefault compiles m under the default scheme on a commodity device.
+func compileDefault(t *testing.T, m *core.Model) *Program {
+	t.Helper()
+	p, err := NewProgram(lockscheme.Default(), DefaultConfig(), nil, schedule.New(keys.KeyBits, 1), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var convs, denses, vectors int
-	for _, op := range plan {
+	return p
+}
+
+func TestCompilePlanStructure(t *testing.T) {
+	cnn1 := core.MustModel(core.Config{Arch: core.CNN1, InC: 1, InH: 16, InW: 16, Seed: 1})
+	var convs, denses, pools, flattens int
+	for _, op := range compileDefault(t, cnn1).ops {
 		switch op.(type) {
 		case *convOp:
 			convs++
 		case *denseOp:
 			denses++
-		case *vectorOp:
-			vectors++
+		case *poolOp:
+			pools++
+		case *flattenOp:
+			flattens++
 		}
 	}
 	// CNN1: two fused convs (each absorbing lock+relu), two pools + one
 	// flatten on the vector unit, one dense.
-	if convs != 2 || denses != 1 || vectors != 3 {
-		t.Fatalf("CNN1 plan: %d convs, %d denses, %d vector ops", convs, denses, vectors)
+	if convs != 2 || denses != 1 || pools != 2 || flattens != 1 {
+		t.Fatalf("CNN1 plan: %d convs, %d denses, %d pools, %d flattens", convs, denses, pools, flattens)
 	}
 
 	resnet := core.MustModel(core.Config{Arch: core.ResNet18, InC: 1, InH: 16, InW: 16, WidthScale: 0.125, Seed: 2})
-	plan, err = compile(resnet.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
 	residuals := 0
-	for _, op := range plan {
+	for _, op := range compileDefault(t, resnet).ops {
 		if _, ok := op.(*residualOp); ok {
 			residuals++
 		}
@@ -163,8 +168,9 @@ func TestPostJoinLockSemantics(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, -2, 3, -4, 5, -6}, 2, 3)
 	for _, onMMU := range []bool{false, true} {
 		a.onMMU = onMMU
-		op := &lockReluOp{lockID: "post", neurons: 3, relu: false, outKey: "out"}
-		out, err := op.run(a, x)
+		op := &lockReluOp{lockID: "post", neurons: 3, cols: a.low.MACColumns("post", 3), outKey: "out"}
+		s := &state{ws: tensor.NewWorkspace(), ops: make([]opState, 1)}
+		out, err := op.run(a, s, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +181,7 @@ func TestPostJoinLockSemantics(t *testing.T) {
 		}
 		// With relu, only the (now) positive values survive.
 		op.relu = true
-		out, _ = op.run(a, x)
+		out, _ = op.run(a, s, x)
 		for i, v := range out.Data {
 			if v < 0 || v == 0 && x.Data[i] < 0 {
 				t.Fatalf("onMMU=%v: relu output %v at %d", onMMU, v, i)

@@ -70,21 +70,20 @@ func opMAC(op planOp) *macCore {
 	return nil
 }
 
-func opMask(op planOp) *lockMask {
-	switch o := op.(type) {
-	case *convOp:
-		return &o.mask
-	case *denseOp:
-		return &o.mask
-	case *lockReluOp:
-		return &o.mask
+// opMask returns the sign mask s holds for op, or nil for ops without one.
+func opMask(s *state, op planOp) *lockMask {
+	if mc := opMAC(op); mc != nil {
+		return &s.ops[mc.slot].mask
+	}
+	if o, ok := op.(*lockReluOp); ok {
+		return &s.ops[o.slot].mask
 	}
 	return nil
 }
 
 // TestReleaseWipesKeyMaterial: evicting a tenant via Release must zero the
 // key-derived sign masks the GEMM tier cached — residual blocks included —
-// not just drop the plan map entries. The test aliases every built mask's
+// not just drop the program bindings. The test aliases every built mask's
 // backing slice before Release and requires the bytes behind those aliases
 // to read zero after: the exact property a reused accelerator needs so the
 // next occupant cannot scavenge the previous tenant's key bits out of live
@@ -92,9 +91,9 @@ func opMask(op planOp) *lockMask {
 func TestReleaseWipesKeyMaterial(t *testing.T) {
 	forReleaseCases(t, 9000, func(t *testing.T, schemeName string, _ *batchFixture, a *Accelerator) {
 		var masks [][]int32
-		for _, c := range a.plans {
-			eachOp(c.ops, func(op planOp) {
-				if lm := opMask(op); lm != nil && lm.built {
+		for _, s := range a.states {
+			eachOp(s.prog.ops, func(op planOp) {
+				if lm := opMask(s, op); lm != nil && lm.built {
 					masks = append(masks, lm.neg)
 				}
 			})
@@ -116,10 +115,119 @@ func TestReleaseWipesKeyMaterial(t *testing.T) {
 				}
 			}
 		}
-		if len(a.plans) != 0 {
-			t.Fatalf("Release left %d plans cached", len(a.plans))
+		if len(a.states) != 0 {
+			t.Fatalf("Release left %d programs bound", len(a.states))
 		}
 	})
+}
+
+// aliases collects full-capacity aliases of buffers that Release must
+// zero, split by element type.
+type aliases struct {
+	floats [][]float64
+	codes  [][]int8
+	ints   [][]int32
+	idx    [][]int
+}
+
+// addState aliases every buffer of a device's state: each op's output
+// (the vector unit's included), the input scratch the program's ops use
+// (every fixture has a stride-1 conv, so a GEMM run gathers image codes),
+// and each op's sign mask and integer scratch.
+func (al *aliases) addState(s *state) {
+	add := func(key string) {
+		b := s.ws.Get(key, 1).Data
+		al.floats = append(al.floats, b[:cap(b)])
+	}
+	scratch := map[string]bool{}
+	eachOp(s.prog.ops, func(op planOp) {
+		switch o := op.(type) {
+		case *convOp:
+			add(o.outKey)
+			scratch[colKey], scratch[imgKey] = true, true
+		case *denseOp:
+			add(o.outKey)
+			scratch[inKey] = true
+		case *lockReluOp:
+			add(o.outKey)
+		case *residualOp:
+			add(o.sumKey)
+		case *poolOp:
+			add(o.outKey)
+		case *globalPoolOp:
+			add(o.outKey)
+		case *batchNormOp:
+			add(o.outKey)
+		}
+	})
+	for _, key := range []string{colKey, imgKey, inKey} {
+		if scratch[key] {
+			add(key)
+		}
+	}
+	for i := range s.ops {
+		o := &s.ops[i]
+		al.ints = append(al.ints, o.mask.neg, o.bias[:cap(o.bias)], o.acc[:cap(o.acc)])
+		al.codes = append(al.codes, o.x8[:cap(o.x8)], o.q8[:cap(o.q8)])
+		al.floats = append(al.floats, o.scales[:cap(o.scales)])
+		al.idx = append(al.idx, o.arg[:cap(o.arg)])
+	}
+}
+
+// addProgram aliases everything a program owns: int8 and widened weight
+// codes, the BN fold's biases and a weight-space scheme's clone — never
+// the published model's own tensors.
+func (al *aliases) addProgram(p *Program) {
+	published := map[*float64]bool{}
+	for _, prm := range p.model.Net.Params() {
+		published[&prm.Value.Data[0]] = true
+	}
+	eachMAC(p.ops, func(mc *macCore) {
+		al.codes = append(al.codes, mc.qW.Data)
+		al.floats = append(al.floats, mc.wCodes)
+		if !published[&mc.b.Data[0]] {
+			al.floats = append(al.floats, mc.b.Data)
+		}
+	})
+	if p.clone != nil {
+		for _, prm := range p.clone.Net.Params() {
+			al.floats = append(al.floats, prm.Value.Data)
+		}
+	}
+}
+
+// nonzero counts the nonzero entries behind every alias.
+func (al *aliases) nonzero() int {
+	n := 0
+	for _, b := range al.floats {
+		for _, v := range b {
+			if v != 0 {
+				n++
+			}
+		}
+	}
+	for _, b := range al.codes {
+		for _, v := range b {
+			if v != 0 {
+				n++
+			}
+		}
+	}
+	for _, b := range al.ints {
+		for _, v := range b {
+			if v != 0 {
+				n++
+			}
+		}
+	}
+	for _, b := range al.idx {
+		for _, v := range b {
+			if v != 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // modelBits snapshots every parameter and batch-norm statistic of m as raw
@@ -137,83 +245,78 @@ func modelBits(m *core.Model) []uint64 {
 }
 
 // TestReleaseWipesPlaintextWeights: Release zeroes every weight the device
-// owns — the int8 codes, the widened codes and every other workspace
-// buffer, the BN fold's weights, and a weight-space scheme's unlocked
-// clone, whose plaintext (XORed with the published model) would give away
-// the key. It must not write the published model, whose tensors the
-// hpnn-xor plan runs on directly and every shard shares.
+// owns — the int8 codes, the widened codes, the BN fold's weights and a
+// weight-space scheme's unlocked clone, whose plaintext (XORed with the
+// published model) would give away the key — and every buffer of its
+// state. It must not write the published model, whose tensors the hpnn-xor
+// program runs on directly and every shard shares.
 func TestReleaseWipesPlaintextWeights(t *testing.T) {
 	forReleaseCases(t, 9500, func(t *testing.T, _ string, f *batchFixture, a *Accelerator) {
-		published := map[*float64]bool{}
-		for _, p := range f.model.Net.Params() {
-			published[&p.Value.Data[0]] = true
-		}
 		before := modelBits(f.model)
-
-		var floats [][]float64
-		var codes [][]int8
-		for _, c := range a.plans {
-			eachOp(c.ops, func(op planOp) {
-				switch o := op.(type) {
-				case *lockReluOp:
-					floats = append(floats, a.ws.Get(o.outKey, 1).Data)
-				case *residualOp:
-					floats = append(floats, a.ws.Get(o.sumKey, 1).Data)
-				}
-				mc := opMAC(op)
-				if mc == nil {
-					return
-				}
-				codes = append(codes, mc.qW.Data)
-				floats = append(floats, a.ws.Get(mc.outKey, 1).Data, a.ws.Get(mc.wKey, 1).Data)
-				for _, w := range []*tensor.Tensor{mc.w, mc.b} {
-					if !published[&w.Data[0]] {
-						floats = append(floats, w.Data)
-					}
-				}
-			})
-			if c.clone != nil {
-				for _, p := range c.clone.Net.Params() {
-					floats = append(floats, p.Value.Data)
-				}
-			}
+		var al aliases
+		for _, s := range a.states {
+			al.addState(s)
+			al.addProgram(s.prog)
 		}
-		for _, key := range []string{colKey, imgKey, inKey} {
-			floats = append(floats, a.ws.Get(key, 1).Data)
-		}
-		nonzero := 0
-		for _, buf := range floats {
-			for _, v := range buf[:cap(buf)] {
-				if v != 0 {
-					nonzero++
-				}
-			}
-		}
-		if nonzero == 0 {
+		if al.nonzero() == 0 {
 			t.Fatal("no nonzero buffer before Release; fixture exercises nothing")
 		}
 
 		a.Release()
 
-		for bi, buf := range floats {
-			for i, v := range buf[:cap(buf)] {
+		if n := al.nonzero(); n != 0 {
+			t.Fatalf("%d entries nonzero after Release", n)
+		}
+		assertModelBits(t, f.model, before)
+	})
+}
+
+// assertModelBits fails if m's parameters or statistics moved from before.
+func assertModelBits(t *testing.T, m *core.Model, before []uint64) {
+	t.Helper()
+	after := modelBits(m)
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("published model word %d changed by Release: %x → %x (%v)",
+				i, before[i], after[i], math.Float64frombits(after[i]))
+		}
+	}
+}
+
+// TestReleaseWipesVectorOutputs: every op's last output — the vector
+// unit's pooling, flatten and global-pool results included — reads zero
+// after Release. The vector unit used to run cloned nn layers whose output
+// scratch lived outside the device's workspace, where Release never
+// reached it.
+func TestReleaseWipesVectorOutputs(t *testing.T) {
+	forReleaseCases(t, 9700, func(t *testing.T, _ string, f *batchFixture, a *Accelerator) {
+		s, err := a.stateFor(f.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.New(4, 1, 16, 16)
+		x.FillUniform(rng.New(9701), -1, 1)
+		a.onMMU = false
+		var outs [][]float64
+		var names []string
+		act := x
+		for _, op := range s.prog.ops {
+			if act, err = op.run(a, s, act); err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, act.Data)
+			names = append(names, op.opName())
+		}
+		a.Release()
+		for i, buf := range outs {
+			nz := 0
+			for _, v := range buf {
 				if v != 0 {
-					t.Fatalf("buffer %d entry %d = %v after Release", bi, i, v)
+					nz++
 				}
 			}
-		}
-		for ci, c := range codes {
-			for i, v := range c {
-				if v != 0 {
-					t.Fatalf("weight codes %d entry %d = %d after Release", ci, i, v)
-				}
-			}
-		}
-		after := modelBits(f.model)
-		for i := range before {
-			if before[i] != after[i] {
-				t.Fatalf("published model word %d changed by Release: %x → %x (%v)",
-					i, before[i], after[i], math.Float64frombits(after[i]))
+			if nz != 0 {
+				t.Errorf("op %d (%s): %d of %d output entries nonzero after Release", i, names[i], nz, len(buf))
 			}
 		}
 	})

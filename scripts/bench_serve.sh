@@ -2,11 +2,13 @@
 # Multi-tenant serve tracker into results/BENCH_serve.json
 # (BenchmarkRegistryMultiModel / ColdCompile / SwapBlackout): per-model
 # throughput with one CNN1 16x16 tenant per lock scheme behind the routing
-# registry at batch 8, the cold-compile latency an evicted tenant pays on
-# its next hit, and the hot-swap numbers — Deploy latency, worst
-# single-request stall across swaps (blackout), and the failed-request
-# count, whose acceptance target is exactly 0. The file records the CPU
-# count and benchtime it was measured with.
+# registry at batch 8, the cold-compile latency an evicted CNN1 or
+# ResNet-18 x0.25 tenant pays on its next hit together with that tenant's
+# resident accelerator bytes (one program plus one state per shard), and
+# the hot-swap numbers — Deploy latency, worst single-request stall across
+# swaps (blackout), and the failed-request count, whose acceptance target
+# is exactly 0. The file records the CPU count and benchtime it was
+# measured with.
 #
 # BENCHTIME=2s scripts/bench_serve.sh   # longer runs for stable numbers
 set -eu
@@ -35,7 +37,14 @@ function metric(name,    i) {
 	mrate[name] = metric("samples/sec")
 	if (!(name in mseen)) { mseen[name] = 1; morder[++mn] = name }
 }
-/^BenchmarkRegistryColdCompile/ { cold_ns = $3 }
+/^BenchmarkRegistryColdCompile\// {
+	name = $1
+	sub(/-[0-9]+$/, "", name)
+	sub(/^BenchmarkRegistryColdCompile\/model=/, "", name)
+	cold_ns[name] = $3
+	cold_bytes[name] = metric("tenant-bytes")
+	if (!(name in cseen)) { cseen[name] = 1; corder[++cn] = name }
+}
 /^BenchmarkRegistrySwapBlackout/ {
 	deploy_ns = $3
 	blackout_ns = metric("blackout-ns")
@@ -55,7 +64,12 @@ END {
 		printf "      \"%s\": %s%s\n", s, mrate[s], (i < mn ? "," : "")
 	}
 	printf "    },\n"
-	printf "    \"cold_compile_ns\": %s,\n", cold_ns
+	printf "    \"cold_compile\": {\n"
+	for (i = 1; i <= cn; i++) {
+		s = corder[i]
+		printf "      \"%s\": {\"ns\": %s, \"tenant_bytes\": %s}%s\n", s, cold_ns[s], cold_bytes[s], (i < cn ? "," : "")
+	}
+	printf "    },\n"
 	printf "    \"hot_swap\": {\n"
 	printf "      \"deploy_ns\": %s,\n", deploy_ns
 	printf "      \"blackout_ns\": %s,\n", blackout_ns

@@ -20,15 +20,18 @@ go vet ./...
 # to read.
 go run ./cmd/hpnn-lint ./...
 go test -race ./internal/tensor/... ./internal/nn/... ./internal/serve/... ./internal/train/...
-# The accelerator's own concurrency surface (per-shard plans over one
-# shared model, the zero-alloc PredictSample golden path) and its teardown
-# (Release zeroes key bits and weights, never the published model) — by
-# name, so the gate skips the tpu package's slow training suites.
-go test -race -run 'TestServeConcurrentAccelerators|TestPredictSampleMatchesPredict|TestRelease' ./internal/tpu/
+# The accelerator's own concurrency surface (shard devices hammering one
+# shared read-only program, the zero-alloc PredictSample golden path), the
+# shard lifecycle (Bind sizes and seals a device before any MAC, and its
+# first batch allocates nothing) and its teardown (Release zeroes key bits,
+# weights and every op output, then the shared program, never the
+# published model) — by name, so the gate skips the tpu package's slow
+# training suites.
+go test -race -run 'TestServeConcurrentAccelerators|TestPredictSampleMatchesPredict|TestRelease|TestBind' ./internal/tpu/
 # The serve lifecycle tests (hammer, close-under-load, backpressure,
-# cancellation, buffer reuse after a cancelled Predict) are
-# scheduler-sensitive; repeat them to shake out interleavings a single run
-# can miss.
+# cancellation, buffer reuse after a cancelled Predict, shards sealed
+# before any MAC, release of the shared program) are scheduler-sensitive;
+# repeat them to shake out interleavings a single run can miss.
 go test -race -count=3 -run TestServe ./internal/serve/
 # Multi-tenant registry lifecycle (DESIGN.md §14): the cross-tenant hammer,
 # hot-swap zero-drop/bitwise-split, LRU eviction under a memory budget and
