@@ -95,7 +95,7 @@ func BenchmarkFig5(b *testing.B) {
 			// Gap between the strongest attack (α=10%) and the owner.
 			gap := s.OwnerAcc - finals[len(finals)-1]
 			b.ReportMetric(100*gap, string(s.Arch)+"-owner-gap-pts")
-			b.ReportMetric(100*stats.Mean(finals), string(s.Arch)+"-ft-mean-%")
+			b.ReportMetric(100*stats.Summarize(finals).Mean, string(s.Arch)+"-ft-mean-%")
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // TestLintCLI builds the binary and drives its exit-code contract: 0 on the
 // clean repo, 1 with file:line diagnostics on a dirty module, and valid
-// JSON under -json.
+// JSON under -json. -list must name the default-on checks.
 func TestLintCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test skipped in -short mode")
@@ -20,6 +20,22 @@ func TestLintCLI(t *testing.T) {
 	bin := filepath.Join(dir, "hpnn-lint")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building hpnn-lint: %v\n%s", err, out)
+	}
+
+	list, err := exec.Command(bin, "-list").Output()
+	if err != nil {
+		t.Fatalf("hpnn-lint -list: %v", err)
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(string(list), "\n") {
+		if fields := strings.Fields(line); len(fields) > 0 {
+			listed[fields[0]] = true
+		}
+	}
+	for _, want := range []string{"keyflow", "unused"} {
+		if !listed[want] {
+			t.Errorf("-list does not name %s:\n%s", want, list)
+		}
 	}
 
 	// The repo itself must be clean: exit 0, no output.

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -144,6 +145,7 @@ func Checks() []Check {
 		{Name: "gofunc", Doc: "raw go statements only in the tensor worker pool and the serving layer", Run: runGoFunc},
 		{Name: "errcheck", Doc: "no silently discarded error returns in cmd/*, modelio, and serve", Run: runErrcheck},
 		{Name: "seal", Doc: "no Workspace getter calls lexically after Seal() on the same receiver", Run: runSeal},
+		{Name: "unused", Doc: "every module function, method and type is reached from a main, an init, a package-level initializer or a facade export", Run: runUnused},
 		{Name: "keyflow", Doc: "interprocedural taint: key material (device secrets, lock bits, factors) must not reach fmt/log verbs, error construction, wire encoders, or file/net writes except through sanctioned choke points", Run: runKeyflow},
 	}
 }
@@ -159,8 +161,11 @@ func CheckNames() []string {
 
 // Lint runs the selected checks (all registered checks when names is empty)
 // over the program and returns the surviving diagnostics sorted by position.
-// Findings carrying a per-line `//hpnn:allow(<check>)` suppression — on the
-// flagged line or the line directly above it — are dropped.
+// Findings carrying a per-line `//hpnn:allow(<check>) <reason>` suppression
+// — on the flagged line or the line directly above it — are dropped. An
+// allow that names a selected check but gives no reason still suppresses,
+// and is itself reported under that check: a suppression must say why the
+// invariant does not apply.
 func Lint(prog *Program, names ...string) ([]Diagnostic, error) {
 	selected := Checks()
 	if len(names) > 0 {
@@ -184,10 +189,7 @@ func Lint(prog *Program, names ...string) ([]Diagnostic, error) {
 		check := c
 		check.Run(prog, func(pos token.Pos, format string, args ...any) {
 			p := prog.Fset.Position(pos)
-			file := p.Filename
-			if rel, err := filepath.Rel(prog.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = filepath.ToSlash(rel)
-			}
+			file := prog.relPath(p.Filename)
 			if allow.suppressed(file, p.Line, check.Name) {
 				return
 			}
@@ -196,6 +198,14 @@ func Lint(prog *Program, names ...string) ([]Diagnostic, error) {
 				Check: check.Name, Message: fmt.Sprintf(format, args...),
 			})
 		})
+		for _, a := range allow.bare {
+			if slices.Contains(a.names, check.Name) || slices.Contains(a.names, "*") {
+				diags = append(diags, Diagnostic{
+					File: a.file, Line: a.line, Col: a.col, Check: check.Name,
+					Message: fmt.Sprintf("//hpnn:allow(%s) requires a reason: //hpnn:allow(%s) <why the invariant does not apply here>", check.Name, check.Name),
+				})
+			}
+		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -213,23 +223,39 @@ func Lint(prog *Program, names ...string) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// allowSet maps file -> line -> set of check names suppressed on that line.
-type allowSet map[string]map[int]map[string]bool
+// relPath returns filename relative to the module root, slash-separated,
+// as diagnostics and suppressions key files.
+func (p *Program) relPath(filename string) string {
+	if rel, err := filepath.Rel(p.Root, filename); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
+	}
+	return filename
+}
+
+// allowSet maps file -> line -> set of check names suppressed on that line,
+// and lists the allows that give no reason.
+type allowSet struct {
+	lines map[string]map[int]map[string]bool
+	bare  []bareAllow
+}
+
+// bareAllow is an allow comment with no reason after its check list.
+type bareAllow struct {
+	file      string
+	line, col int
+	names     []string
+}
 
 // at reports whether a finding at pos would be suppressed for check.
 func (a allowSet) at(prog *Program, pos token.Pos, check string) bool {
 	p := prog.Fset.Position(pos)
-	file := p.Filename
-	if rel, err := filepath.Rel(prog.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
-	return a.suppressed(file, p.Line, check)
+	return a.suppressed(prog.relPath(p.Filename), p.Line, check)
 }
 
 // suppressed reports whether a finding on (file, line) is covered by an
 // allow comment on the same line or the line immediately above.
 func (a allowSet) suppressed(file string, line int, check string) bool {
-	lines := a[file]
+	lines := a.lines[file]
 	if lines == nil {
 		return false
 	}
@@ -242,30 +268,30 @@ func (a allowSet) suppressed(file string, line int, check string) bool {
 }
 
 // collectAllows scans every comment in the program for the suppression
-// marker `//hpnn:allow(check1,check2) optional reason`.
+// marker `//hpnn:allow(check1,check2) reason`.
 func collectAllows(prog *Program) allowSet {
-	set := make(allowSet)
+	set := allowSet{lines: make(map[string]map[int]map[string]bool)}
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					names, ok := parseAllow(c.Text)
+					names, reason, ok := parseAllow(c.Text)
 					if !ok {
 						continue
 					}
 					p := prog.Fset.Position(c.Pos())
-					file := p.Filename
-					if rel, err := filepath.Rel(prog.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
-						file = filepath.ToSlash(rel)
+					file := prog.relPath(p.Filename)
+					if reason == "" {
+						set.bare = append(set.bare, bareAllow{file: file, line: p.Line, col: p.Column, names: names})
 					}
-					if set[file] == nil {
-						set[file] = make(map[int]map[string]bool)
+					if set.lines[file] == nil {
+						set.lines[file] = make(map[int]map[string]bool)
 					}
-					if set[file][p.Line] == nil {
-						set[file][p.Line] = make(map[string]bool)
+					if set.lines[file][p.Line] == nil {
+						set.lines[file][p.Line] = make(map[string]bool)
 					}
 					for _, n := range names {
-						set[file][p.Line][n] = true
+						set.lines[file][p.Line][n] = true
 					}
 				}
 			}
@@ -274,23 +300,23 @@ func collectAllows(prog *Program) allowSet {
 	return set
 }
 
-// parseAllow extracts check names from one `//hpnn:allow(a,b)` comment.
-func parseAllow(text string) ([]string, bool) {
+// parseAllow extracts the check names and the reason from one
+// `//hpnn:allow(a,b) reason` comment.
+func parseAllow(text string) (names []string, reason string, ok bool) {
 	rest, ok := strings.CutPrefix(text, "//hpnn:allow(")
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
-	list, _, ok := strings.Cut(rest, ")")
+	list, reason, ok := strings.Cut(rest, ")")
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
-	var names []string
 	for _, n := range strings.Split(list, ",") {
 		if n = strings.TrimSpace(n); n != "" {
 			names = append(names, n)
 		}
 	}
-	return names, len(names) > 0
+	return names, strings.TrimSpace(reason), len(names) > 0
 }
 
 // funcHasAnnotation reports whether the function declaration carries the

@@ -5,12 +5,13 @@ import (
 	"go/types"
 )
 
-// The shared static callgraph (DESIGN.md §16). Both interprocedural
-// clients — the noalloc transitive-contract walk and the keyflow taint
-// engine — consume the same graph, so call resolution has exactly one
-// implementation: direct identifiers, package-qualified functions, and
-// concrete method selections resolve; calls through interfaces or stored
-// function values do not (each client documents how it compensates).
+// The shared static callgraph (DESIGN.md §16). The interprocedural
+// clients — the noalloc transitive-contract walk, the keyflow taint engine
+// and the unused reachability walk — consume the same graph, so call
+// resolution has exactly one implementation: direct identifiers,
+// package-qualified functions, and concrete method selections resolve;
+// calls through interfaces or stored function values do not (each client
+// documents how it compensates).
 //
 // The graph is deliberately check-agnostic: every call expression in every
 // function body is recorded, in traversal order, with nothing filtered.

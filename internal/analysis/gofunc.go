@@ -11,7 +11,7 @@ import (
 // serving layer (batcher and shard goroutines with managed lifecycles).
 // Everywhere else an ad-hoc goroutine bypasses SetMaxWorkers, evades the
 // pool's determinism guarantees, and has no drain path — route the work
-// through Parallel/ParallelCtx/ParallelKernel instead, or suppress with
+// through ParallelCtx/ParallelKernel instead, or suppress with
 // //hpnn:allow(gofunc) where a goroutine's lifecycle is genuinely managed
 // (e.g. a server main's accept loop).
 func runGoFunc(prog *Program, report func(pos token.Pos, format string, args ...any)) {
@@ -22,7 +22,7 @@ func runGoFunc(prog *Program, report func(pos token.Pos, format string, args ...
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
-					report(g.Pos(), "raw go statement outside the worker pool and serve: use tensor.Parallel/ParallelCtx/ParallelKernel")
+					report(g.Pos(), "raw go statement outside the worker pool and serve: use tensor.ParallelCtx/ParallelKernel")
 				}
 				return true
 			})

@@ -3,13 +3,16 @@ package analysis
 import (
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // quotedPat extracts the quoted regexes from a `// want "..." "..."`
-// comment; both interpreted and backquoted (raw) forms are accepted.
+// comment; both interpreted and backquoted (raw) forms are accepted. A
+// `/* want ... */` block comment serves a line whose line comment is the
+// subject of the expectation.
 var quotedPat = regexp.MustCompile(`"(?:[^"\\]|\\.)*"|` + "`[^`]*`")
 
 // expectation is one `// want "regex"` annotation from a fixture file: a
@@ -30,7 +33,7 @@ func collectWants(t *testing.T, prog *Program) []*expectation {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+					text := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"), "*/"))
 					if !strings.HasPrefix(text, "want ") {
 						continue
 					}
@@ -122,6 +125,12 @@ func TestSealGolden(t *testing.T) {
 	runGolden(t, "sealdata", nil, "seal")
 }
 
+// TestUnusedGolden runs unused on its own fixture only: the other fixtures
+// are libraries with no main, so most of their code is unreached by design.
+func TestUnusedGolden(t *testing.T) {
+	runGolden(t, "unuseddata", nil, "unused")
+}
+
 // TestSuppressions runs the three checks the suppress fixture trips; the
 // suppressed sites must stay silent and the deliberately unsuppressed (or
 // wrongly suppressed) sites must still fire.
@@ -142,17 +151,14 @@ func TestSelfLint(t *testing.T) {
 	if prog.Module != "hpnn" {
 		t.Fatalf("module path = %q, want hpnn", prog.Module)
 	}
-	// The confidentiality check must be part of the default gate, not an
-	// opt-in: a clean self-lint here means clean including keyflow.
+	// The confidentiality and reachability checks must be part of the
+	// default gate, not opt-ins: a clean self-lint here means clean
+	// including keyflow and unused.
 	names := CheckNames()
-	found := false
-	for _, n := range names {
-		if n == "keyflow" {
-			found = true
+	for _, want := range []string{"keyflow", "unused"} {
+		if !slices.Contains(names, want) {
+			t.Fatalf("%s missing from the default check registry: %v", want, names)
 		}
-	}
-	if !found {
-		t.Fatalf("keyflow missing from the default check registry: %v", names)
 	}
 	diags, err := Lint(prog)
 	if err != nil {

@@ -44,9 +44,6 @@ type Program struct {
 	callgraph *CallGraph // built lazily by CallGraph()
 }
 
-// Lookup returns the loaded package with the given import path, or nil.
-func (p *Program) Lookup(path string) *Package { return p.byPath[path] }
-
 // loader type-checks module packages in dependency order. Stdlib imports are
 // delegated to the standard source importer; module-internal imports recurse
 // into the loader itself, so one pass over the directory tree yields a

@@ -9,9 +9,8 @@ import (
 // workspaceGetters are the tensor.Workspace methods that hand out (and on a
 // sealed workspace may refuse to grow) buffers.
 var workspaceGetters = map[string]bool{
-	"Get":       true,
-	"GetZeroed": true,
-	"MatVec":    true,
+	"Get":    true,
+	"MatVec": true,
 }
 
 // runSeal enforces the sealed-workspace contract lexically: within one

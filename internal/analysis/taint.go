@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -246,7 +245,7 @@ func (e *taintEngine) collectKeyok() {
 						reason = ""
 					}
 					p := e.prog.Fset.Position(c.Pos())
-					file := e.relFile(p.Filename)
+					file := e.prog.relPath(p.Filename)
 					if e.keyok[file] == nil {
 						e.keyok[file] = make(map[int]string)
 					}
@@ -257,18 +256,11 @@ func (e *taintEngine) collectKeyok() {
 	}
 }
 
-func (e *taintEngine) relFile(file string) string {
-	if rel, err := filepath.Rel(e.prog.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
-	}
-	return file
-}
-
 // keyokAt reports whether a keyok suppression covers pos (same line or the
 // line above), and the declared reason.
 func (e *taintEngine) keyokAt(pos token.Pos) (string, bool) {
 	p := e.prog.Fset.Position(pos)
-	lines := e.keyok[e.relFile(p.Filename)]
+	lines := e.keyok[e.prog.relPath(p.Filename)]
 	if lines == nil {
 		return "", false
 	}

@@ -9,10 +9,10 @@ type Tensor struct{ Data []float64 }
 // Workspace mirrors the getter/Seal/Reset surface of tensor.Workspace.
 type Workspace struct{ sealed bool }
 
-func (w *Workspace) Get(key string, shape ...int) *Tensor       { return nil }
-func (w *Workspace) GetZeroed(key string, shape ...int) *Tensor { return nil }
-func (w *Workspace) Seal()                                      { w.sealed = true }
-func (w *Workspace) Reset()                                     { w.sealed = false }
+func (w *Workspace) Get(key string, shape ...int) *Tensor                { return nil }
+func (w *Workspace) MatVec(key string, a *Tensor, x []float64) []float64 { return nil }
+func (w *Workspace) Seal()                                               { w.sealed = true }
+func (w *Workspace) Reset()                                              { w.sealed = false }
 
 // Bad requests a buffer after sealing: a new key here panics at run time.
 func Bad(w *Workspace) {
@@ -31,6 +31,6 @@ func Lifted(w *Workspace) {
 // TwoReceivers seals only a; getters on b stay legal.
 func TwoReceivers(a, b *Workspace) {
 	a.Seal()
-	b.Get("x", 1)       // different receiver: exempt
-	a.GetZeroed("y", 1) // want `a\.GetZeroed after a\.Seal\(\) in TwoReceivers`
+	b.Get("x", 1)           // different receiver: exempt
+	a.MatVec("y", nil, nil) // want `a\.MatVec after a\.Seal\(\) in TwoReceivers`
 }

@@ -204,3 +204,33 @@ func TestInitString(t *testing.T) {
 		t.Fatal("Init naming wrong")
 	}
 }
+
+// SweepThiefFractions runs the α sweep of Fig. 5 / Fig. 7 for one victim:
+// one fine-tuning attack per fraction, same initialization mode.
+func SweepThiefFractions(victim *core.Model, ds *dataset.Dataset, fracs []float64, base FineTuneConfig) ([]Result, error) {
+	out := make([]Result, 0, len(fracs))
+	for i, f := range fracs {
+		cfg := base
+		cfg.ThiefFrac = f
+		cfg.ThiefSeed = base.ThiefSeed + uint64(i)
+		cfg.AttackerSeed = base.AttackerSeed + uint64(i)*101
+		r, _, err := FineTune(victim, ds, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// LeakageGap quantifies the information-leakage comparison of §IV-C: the
+// absolute accuracy difference between an HPNN-initialized and a
+// random-initialized attack under the same budget. Small values mean the
+// obfuscated weights leak nothing useful.
+func LeakageGap(hpnnFT, randomFT Result) float64 {
+	d := hpnnFT.FinalAcc - randomFT.FinalAcc
+	if d < 0 {
+		return -d
+	}
+	return d
+}

@@ -36,11 +36,6 @@ const (
 	TransformPrune Transform = "prune"
 )
 
-// Transforms lists the supported transformations.
-func Transforms() []Transform {
-	return []Transform{TransformScale, TransformNoise, TransformPrune}
-}
-
 // TransformConfig parameterizes one transformation attack.
 type TransformConfig struct {
 	Kind Transform

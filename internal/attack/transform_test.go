@@ -101,3 +101,8 @@ func TestTransformsList(t *testing.T) {
 		t.Fatal("expected 3 transforms")
 	}
 }
+
+// Transforms lists the supported transformations.
+func Transforms() []Transform {
+	return []Transform{TransformScale, TransformNoise, TransformPrune}
+}

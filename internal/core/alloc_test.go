@@ -28,7 +28,9 @@ func TestTrainStepCNN1ZeroAllocSteadyState(t *testing.T) {
 	params := m.Net.Params()
 	var gradBuf *tensor.Tensor
 	step := func() {
-		m.Net.ZeroGrad()
+		for _, p := range params {
+			p.ZeroGrad()
+		}
 		out := m.Net.Forward(x, true)
 		_, g := loss.LossInto(gradBuf, out, y)
 		gradBuf = g

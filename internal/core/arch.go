@@ -279,6 +279,3 @@ func (b *builder) basicBlock(outC, stride int) {
 	b.layers = append(b.layers, nn.NewResidual(body, skip, post))
 	b.c, b.h, b.w = outC, midH, midW
 }
-
-// Architectures lists the Table I / Fig. 3 architectures.
-func Architectures() []Arch { return []Arch{CNN1, CNN2, CNN3, ResNet18, MLP} }

@@ -221,3 +221,6 @@ func TestTrainOnEpochEarlyStop(t *testing.T) {
 		t.Fatalf("training ran %d epochs after early stop, want 3", len(res.EpochLoss))
 	}
 }
+
+// Architectures lists the Table I / Fig. 3 architectures.
+func Architectures() []Arch { return []Arch{CNN1, CNN2, CNN3, ResNet18, MLP} }

@@ -54,6 +54,8 @@ func newModel(cfg Config, init bool) (*Model, error) {
 
 // MustModel is NewModel panicking on error, for tests and examples with
 // static configs.
+//
+//hpnn:allow(unused) test fixture: tests in six packages build their models with it
 func MustModel(cfg Config) *Model {
 	m, err := NewModel(cfg)
 	if err != nil {

@@ -77,7 +77,7 @@ func TestResNet18Structure(t *testing.T) {
 		t.Fatalf("ResNet18 output shape %v", out.Shape)
 	}
 	loss := nn.SoftmaxCrossEntropy{}
-	_, g := loss.Loss(out, []int{0, 1})
+	_, g := loss.LossInto(nil, out, []int{0, 1})
 	m.Net.Backward(g)
 }
 
@@ -214,12 +214,12 @@ func TestTheorem1(t *testing.T) {
 		target.FillUniform(r, 0, 1)
 
 		out1 := netPos.Forward(x, true)
-		_, g1 := mse.Loss(out1, target)
+		_, g1 := mse.LossInto(nil, out1, target)
 		netPos.Backward(g1)
 		opt1.Step(netPos.Params())
 
 		out2 := netNeg.Forward(x, true)
-		_, g2 := mse.Loss(out2, target)
+		_, g2 := mse.LossInto(nil, out2, target)
 		netNeg.Backward(g2)
 		opt2.Step(netNeg.Params())
 	}

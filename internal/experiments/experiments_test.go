@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -358,4 +359,14 @@ func TestWatermarkVsHPNNExperiment(t *testing.T) {
 	if out := RenderWatermarkComparison(c); !strings.Contains(out, "watermark") {
 		t.Fatal("rendering incomplete")
 	}
+}
+
+// archFor returns the Table I architecture for a dataset.
+func archFor(dsName string) (core.Arch, error) {
+	for _, b := range benchmarks {
+		if b.Dataset == dsName {
+			return b.Arch, nil
+		}
+	}
+	return "", fmt.Errorf("experiments: no architecture mapped to dataset %q", dsName)
 }

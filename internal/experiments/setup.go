@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"hpnn/internal/attack"
 	"hpnn/internal/core"
 	"hpnn/internal/dataset"
@@ -122,14 +120,4 @@ func seedFor(name string) uint64 {
 		h = h*131 + uint64(c)
 	}
 	return h % 997
-}
-
-// archFor returns the Table I architecture for a dataset.
-func archFor(dsName string) (core.Arch, error) {
-	for _, b := range benchmarks {
-		if b.Dataset == dsName {
-			return b.Arch, nil
-		}
-	}
-	return "", fmt.Errorf("experiments: no architecture mapped to dataset %q", dsName)
 }

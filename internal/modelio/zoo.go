@@ -99,14 +99,6 @@ func (z *Zoo) Put(name string, blob []byte) {
 	z.versions[name]++
 }
 
-// Get retrieves a copy of a serialized model. The copy is defensive in both
-// directions: callers can mutate what they got, and a concurrent Put can
-// never change bytes a caller is still decoding.
-func (z *Zoo) Get(name string) ([]byte, bool) {
-	b, _, ok := z.GetVersion(name)
-	return b, ok
-}
-
 // GetVersion is Get plus the entry's current version — the pair the
 // conditional HTTP handler and watch loops are built on.
 func (z *Zoo) GetVersion(name string) ([]byte, uint64, bool) {

@@ -154,3 +154,11 @@ func TestZooPublishBlob(t *testing.T) {
 		t.Fatal("junk blob published")
 	}
 }
+
+// Get retrieves a copy of a serialized model. The copy is defensive in both
+// directions: callers can mutate what they got, and a concurrent Put can
+// never change bytes a caller is still decoding.
+func (z *Zoo) Get(name string) ([]byte, bool) {
+	b, _, ok := z.GetVersion(name)
+	return b, ok
+}

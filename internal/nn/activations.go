@@ -58,53 +58,6 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return r.dx
 }
 
-// LeakyReLU is max(x, alpha·x).
-type LeakyReLU struct {
-	Alpha  float64
-	lastIn *tensor.Tensor
-	y, dx  *tensor.Tensor
-}
-
-// NewLeakyReLU returns a LeakyReLU with the given negative slope.
-func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
-
-// Name implements Layer.
-func (r *LeakyReLU) Name() string { return "LeakyReLU" }
-
-// Params implements Layer.
-func (r *LeakyReLU) Params() []*Param { return nil }
-
-// Forward implements Layer.
-//
-//hpnn:noalloc
-func (r *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	r.lastIn = x
-	r.y = tensor.EnsureShape(r.y, x.Shape...)
-	for i, v := range x.Data {
-		if v > 0 {
-			r.y.Data[i] = v
-		} else {
-			r.y.Data[i] = r.Alpha * v
-		}
-	}
-	return r.y
-}
-
-// Backward implements Layer.
-//
-//hpnn:noalloc
-func (r *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	r.dx = tensor.EnsureShape(r.dx, grad.Shape...)
-	for i, v := range r.lastIn.Data {
-		if v > 0 {
-			r.dx.Data[i] = grad.Data[i]
-		} else {
-			r.dx.Data[i] = r.Alpha * grad.Data[i]
-		}
-	}
-	return r.dx
-}
-
 // Sigmoid is the logistic activation 1/(1+e^-x). It is used by the
 // Theorem 1 single-layer delta-rule experiments.
 type Sigmoid struct {
@@ -113,6 +66,8 @@ type Sigmoid struct {
 }
 
 // NewSigmoid returns a Sigmoid activation layer.
+//
+//hpnn:allow(unused) core's TestTheorem1 builds the paper's sigmoid neuron with it
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
 // Name implements Layer.
@@ -141,43 +96,6 @@ func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		s.dx.Data[i] = grad.Data[i] * o * (1 - o)
 	}
 	return s.dx
-}
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	lastOut *tensor.Tensor
-	dx      *tensor.Tensor
-}
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "Tanh" }
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Forward implements Layer.
-//
-//hpnn:noalloc
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	t.lastOut = tensor.EnsureShape(t.lastOut, x.Shape...)
-	for i, v := range x.Data {
-		t.lastOut.Data[i] = math.Tanh(v)
-	}
-	return t.lastOut
-}
-
-// Backward implements Layer.
-//
-//hpnn:noalloc
-func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	t.dx = tensor.EnsureShape(t.dx, grad.Shape...)
-	for i, o := range t.lastOut.Data {
-		t.dx.Data[i] = grad.Data[i] * (1 - o*o)
-	}
-	return t.dx
 }
 
 // Flatten reshapes [N, C, H, W] (or any rank ≥ 2) batches to [N, D].

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"hpnn/internal/rng"
 	"hpnn/internal/tensor"
 )
 
@@ -12,10 +11,10 @@ import (
 // A replica clone shares everything that is read-only during a training
 // forward/backward — parameter values, lock factors, batch-norm running
 // statistics — and privatizes everything that is written: gradient
-// accumulators, layer scratch (outputs, lowering buffers, caches), dropout
-// generators, and batch-norm statistic outputs. K clones can therefore run
-// concurrent forward/backward passes over disjoint micro-shards while the
-// master network stays the single owner of weights and optimizer state.
+// accumulators, layer scratch (outputs, lowering buffers, caches) and
+// batch-norm statistic outputs. K clones can therefore run concurrent
+// forward/backward passes over disjoint micro-shards while the master
+// network stays the single owner of weights and optimizer state.
 
 // cloneParam returns a parameter that aliases p's value tensor but owns a
 // fresh zeroed gradient. The clone's Param identity is distinct from the
@@ -59,10 +58,6 @@ func cloneLayer(l Layer) Layer {
 		// a copied bool, so the replica driver re-syncs engagement from the
 		// master locks when a run starts.
 		return &Lock{ID: v.ID, Factors: v.Factors, Engaged: v.Engaged}
-	case *Dropout:
-		// The generator is reseeded per (step, shard) by the replica
-		// driver; the placeholder seed is never drawn from.
-		return &Dropout{P: v.P, Rng: rng.New(0)}
 	case *Residual:
 		var skip *Network
 		if v.Skip != nil {
@@ -71,18 +66,12 @@ func cloneLayer(l Layer) Layer {
 		return &Residual{Body: v.Body.ReplicaClone(), Skip: skip, Post: v.Post.ReplicaClone()}
 	case *ReLU:
 		return &ReLU{}
-	case *LeakyReLU:
-		return &LeakyReLU{Alpha: v.Alpha}
 	case *Sigmoid:
 		return &Sigmoid{}
-	case *Tanh:
-		return &Tanh{}
 	case *Flatten:
 		return &Flatten{}
 	case *MaxPool:
 		return &MaxPool{Geom: v.Geom}
-	case *AvgPool:
-		return &AvgPool{Geom: v.Geom}
 	case *GlobalAvgPool:
 		return &GlobalAvgPool{}
 	default:
@@ -112,33 +101,6 @@ func collectBatchNorms(l Layer) []*BatchNorm2D {
 			out = append(out, v.Skip.BatchNorms()...)
 		}
 		out = append(out, v.Post.BatchNorms()...)
-		return out
-	default:
-		return nil
-	}
-}
-
-// Dropouts returns every Dropout in the network in forward order, descending
-// into residual blocks.
-func (n *Network) Dropouts() []*Dropout {
-	var out []*Dropout
-	for _, l := range n.Layers {
-		out = append(out, collectDropouts(l)...)
-	}
-	return out
-}
-
-func collectDropouts(l Layer) []*Dropout {
-	switch v := l.(type) {
-	case *Dropout:
-		return []*Dropout{v}
-	case *Residual:
-		var out []*Dropout
-		out = append(out, v.Body.Dropouts()...)
-		if v.Skip != nil {
-			out = append(out, v.Skip.Dropouts()...)
-		}
-		out = append(out, v.Post.Dropouts()...)
 		return out
 	default:
 		return nil

@@ -68,11 +68,6 @@ func (c *Conv2D) InitHe(r *rng.Rand) *Conv2D {
 	return c
 }
 
-// OutShape returns the per-sample output dimensions [OutC, OutH, OutW].
-func (c *Conv2D) OutShape() (int, int, int) {
-	return c.OutC, c.Geom.OutH(), c.Geom.OutW()
-}
-
 // Forward implements Layer.
 //
 //hpnn:noalloc

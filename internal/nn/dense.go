@@ -44,13 +44,6 @@ func (d *Dense) InitHe(r *rng.Rand) *Dense {
 	return d
 }
 
-// InitXavier applies Xavier-normal initialization (std = sqrt(1/fanIn)).
-func (d *Dense) InitXavier(r *rng.Rand) *Dense {
-	d.W.Value.FillNorm(r, 0, sqrt(1/float64(d.In)))
-	d.B.Value.Zero()
-	return d
-}
-
 // Forward implements Layer.
 //
 //hpnn:noalloc

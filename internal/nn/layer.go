@@ -12,11 +12,7 @@
 // returns dLoss/dInput while accumulating parameter gradients into Param.Grad.
 package nn
 
-import (
-	"fmt"
-
-	"hpnn/internal/tensor"
-)
+import "hpnn/internal/tensor"
 
 // Param is a trainable parameter with its gradient accumulator.
 type Param struct {
@@ -115,13 +111,6 @@ func (n *Network) Params() []*Param {
 	return ps
 }
 
-// ZeroGrad clears every parameter gradient.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
-}
-
 // ParamCount returns the total number of trainable scalars.
 func (n *Network) ParamCount() int {
 	c := 0
@@ -157,14 +146,4 @@ func collectLocks(l Layer) []*Lock {
 	default:
 		return nil
 	}
-}
-
-// Summary returns a human-readable multi-line description of the network.
-func (n *Network) Summary() string {
-	s := ""
-	for i, l := range n.Layers {
-		s += fmt.Sprintf("%2d: %s\n", i, l.Name())
-	}
-	s += fmt.Sprintf("trainable parameters: %d\n", n.ParamCount())
-	return s
 }

@@ -12,14 +12,9 @@ import (
 // all classification experiments.
 type SoftmaxCrossEntropy struct{}
 
-// Loss returns the mean cross-entropy of logits [N, K] against integer
-// labels, plus dLoss/dLogits ready for Network.Backward.
-func (s SoftmaxCrossEntropy) Loss(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	return s.LossInto(nil, logits, labels)
-}
-
-// LossInto is the buffer-reusing form of Loss: the gradient is written into
-// grad (resized in place; allocated when nil) and returned. Training loops
+// LossInto returns the mean cross-entropy of logits [N, K] against integer
+// labels, plus dLoss/dLogits ready for Network.Backward. The gradient is
+// written into grad (resized in place; allocated when nil). Training loops
 // keep one gradient buffer alive across steps, so the loss stage costs no
 // allocations after warmup.
 func (s SoftmaxCrossEntropy) LossInto(grad *tensor.Tensor, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
@@ -75,46 +70,18 @@ func oneHot(j, label int) float64 {
 	return 0
 }
 
-// Probabilities returns the softmax distribution for each row of logits.
-func (SoftmaxCrossEntropy) Probabilities(logits *tensor.Tensor) *tensor.Tensor {
-	n, k := logits.Shape[0], logits.Shape[1]
-	out := tensor.New(n, k)
-	for i := 0; i < n; i++ {
-		row := logits.Data[i*k : (i+1)*k]
-		o := out.Data[i*k : (i+1)*k]
-		maxV := math.Inf(-1)
-		for _, v := range row {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - maxV)
-			o[j] = e
-			sum += e
-		}
-		for j := range o {
-			o[j] /= sum
-		}
-	}
-	return out
-}
-
 // MSE is the mean-squared-error cost of the paper's Section III-C,
 // E = ½ Σ_j (t_j - out_j)², summed over outputs and averaged over the batch.
 // The key-dependent delta rule (Eq. 4) is derived for this loss; it is used
 // by the Theorem 1 experiments.
+//
+//hpnn:allow(unused) the Theorem 1 loss; core's TestTheorem1 trains with it
 type MSE struct{}
 
-// Loss returns the cost and dLoss/dOutput for predictions and targets of
-// identical shape [N, K].
-func (m MSE) Loss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	return m.LossInto(nil, pred, target)
-}
-
-// LossInto is the buffer-reusing form of Loss: the gradient is written into
-// grad (resized in place; allocated when nil) and returned.
+// LossInto returns the loss of pred against target and dLoss/dPred,
+// written into grad (resized in place; allocated when nil).
+//
+//hpnn:allow(unused) the Theorem 1 loss; core's TestTheorem1 trains with it
 func (MSE) LossInto(grad *tensor.Tensor, pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	if pred.Len() != target.Len() {
 		panic("nn: MSE shape mismatch")

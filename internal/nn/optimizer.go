@@ -49,6 +49,8 @@ type SGD struct {
 }
 
 // NewSGD returns an SGD optimizer with the given learning rate.
+//
+//hpnn:allow(unused) core's TestTheorem1 steps plain SGD with it
 func NewSGD(lr float64) *SGD { return &SGD{Rate: lr} }
 
 // NewMomentumSGD returns SGD with momentum and weight decay, the

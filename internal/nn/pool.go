@@ -40,11 +40,6 @@ func (m *MaxPool) Name() string {
 // Params implements Layer.
 func (m *MaxPool) Params() []*Param { return nil }
 
-// OutShape returns the per-sample output dimensions.
-func (m *MaxPool) OutShape() (int, int, int) {
-	return m.Geom.InC, m.Geom.OutH(), m.Geom.OutW()
-}
-
 // Forward implements Layer.
 //
 //hpnn:noalloc
@@ -89,79 +84,6 @@ func maxPoolBwdWorker(ctx any, i int) {
 		m.fdx[i*m.featIn:(i+1)*m.featIn],
 		m.fgrad[i*m.featOut:(i+1)*m.featOut],
 		m.lastArg[i*m.featOut:(i+1)*m.featOut])
-}
-
-// AvgPool is a 2-D average-pooling layer (zero-padding contributes to the
-// divisor only through the fixed window size, matching the common
-// count_include_pad=true convention).
-type AvgPool struct {
-	Geom  tensor.ConvGeom
-	lastN int
-
-	out, dx *tensor.Tensor
-
-	featIn, featOut      int
-	fx, fout, fgrad, fdx []float64
-}
-
-// NewAvgPool constructs an average-pooling layer.
-func NewAvgPool(g tensor.ConvGeom) *AvgPool {
-	if err := g.Validate(); err != nil {
-		panic("nn: " + err.Error())
-	}
-	return &AvgPool{Geom: g}
-}
-
-// Name implements Layer.
-func (a *AvgPool) Name() string {
-	return fmt.Sprintf("AvgPool(%dx%d, s%d)", a.Geom.KH, a.Geom.KW, a.Geom.Stride)
-}
-
-// Params implements Layer.
-func (a *AvgPool) Params() []*Param { return nil }
-
-// Forward implements Layer.
-//
-//hpnn:noalloc
-func (a *AvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	g := a.Geom
-	n := x.Shape[0]
-	outH, outW := g.OutH(), g.OutW()
-	a.featIn = g.InLen()
-	a.featOut = g.InC * outH * outW
-	a.lastN = n
-	a.out = tensor.EnsureShape(a.out, n, g.InC, outH, outW)
-	a.fx, a.fout = x.Data, a.out.Data
-	tensor.ParallelCtx(n, a, avgPoolFwdWorker)
-	return a.out
-}
-
-func avgPoolFwdWorker(ctx any, i int) {
-	a := ctx.(*AvgPool)
-	tensor.AvgPool2D(
-		a.fout[i*a.featOut:(i+1)*a.featOut],
-		a.fx[i*a.featIn:(i+1)*a.featIn],
-		a.Geom)
-}
-
-// Backward implements Layer.
-//
-//hpnn:noalloc
-func (a *AvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := a.Geom
-	n := a.lastN
-	a.dx = tensor.EnsureShape(a.dx, n, g.InC, g.InH, g.InW)
-	a.fgrad, a.fdx = grad.Data, a.dx.Data
-	tensor.ParallelCtx(n, a, avgPoolBwdWorker)
-	return a.dx
-}
-
-func avgPoolBwdWorker(ctx any, i int) {
-	a := ctx.(*AvgPool)
-	tensor.AvgPool2DGrad(
-		a.fdx[i*a.featIn:(i+1)*a.featIn],
-		a.fgrad[i*a.featOut:(i+1)*a.featOut],
-		a.Geom)
 }
 
 // GlobalAvgPool averages each channel's full spatial map, producing [N, C].

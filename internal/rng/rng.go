@@ -3,33 +3,13 @@
 //
 // Experiments in the paper (key generation, weight initialization, dataset
 // synthesis, thief-dataset subsampling) must be exactly reproducible across
-// runs and platforms, so we use explicit-state generators (SplitMix64 and
-// PCG32) instead of the global math/rand source. Every consumer receives its
+// runs and platforms, so we use an explicit-state generator (PCG32, seeded
+// through the SplitMix64 finalizer) instead of the global math/rand source. Every consumer receives its
 // own stream, and streams can be forked hierarchically: a fork derived from
 // (parent state, label) is independent of the parent's subsequent output.
 package rng
 
 import "math"
-
-// SplitMix64 is the 64-bit finalizer-based generator from Steele et al.
-// It is used both as a standalone generator and to seed PCG streams.
-type SplitMix64 struct {
-	state uint64
-}
-
-// NewSplitMix64 returns a SplitMix64 seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
-}
-
-// Next returns the next 64-bit value in the stream.
-func (s *SplitMix64) Next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
 
 // Mix64 applies the SplitMix64 finalizer to x. It is a high-quality
 // stateless hash used for deriving child seeds and schedule permutations.
@@ -64,21 +44,6 @@ func NewStream(seed, stream uint64) *Rand {
 	r.state += seed
 	r.Uint32()
 	return r
-}
-
-// Reseed reinitializes r in place to exactly the state NewStream(seed,
-// stream) would produce, without allocating. The data-parallel trainer uses
-// it to point replica-owned generators (dropout masks) at a canonical
-// per-(step, shard) stream, making the drawn sequence a function of the
-// shard position rather than of which replica executed it.
-func (r *Rand) Reseed(seed, stream uint64) {
-	r.inc = (stream << 1) | 1
-	r.state = 0
-	r.Uint32()
-	r.state += seed
-	r.Uint32()
-	r.haveSpare = false
-	r.spare = 0
 }
 
 // Fork derives an independent child generator from the parent state and a

@@ -177,3 +177,22 @@ func TestBoolRoughlyFair(t *testing.T) {
 		t.Fatalf("Bool gave %d/10000 trues", trues)
 	}
 }
+
+// SplitMix64 is the 64-bit generator from Steele et al.: the Mix64
+// finalizer over a Weyl sequence, so TestSplitMix64Sequence drives the
+// production Mix64 as a stream.
+type SplitMix64 struct {
+	state uint64
+}
+
+// NewSplitMix64 returns a SplitMix64 seeded with seed.
+func NewSplitMix64(seed uint64) *SplitMix64 {
+	return &SplitMix64{state: seed}
+}
+
+// Next returns the next 64-bit value in the stream.
+func (s *SplitMix64) Next() uint64 {
+	z := Mix64(s.state)
+	s.state += 0x9e3779b97f4a7c15
+	return z
+}

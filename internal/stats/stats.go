@@ -107,18 +107,6 @@ func (s Summary) BoxPlot(lo, hi float64, width int) string {
 	return string(row)
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs))
-}
-
 // PctDrop returns the accuracy drop from base to v in percentage points,
 // the metric of Table I's "%drop" columns (e.g. 89.93 → 10.05 is a 79.88
 // drop). base and v are fractions in [0, 1].

@@ -142,3 +142,15 @@ func TestSummaryString(t *testing.T) {
 		t.Fatal("empty String")
 	}
 }
+
+// Mean returns the arithmetic mean of xs (0 for empty input).
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range xs {
+		sum += v
+	}
+	return sum / float64(len(xs))
+}

@@ -36,24 +36,12 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col lowers a single [C,H,W] image to the column matrix used by
-// GEMM-based convolution. Result shape: [C*KH*KW, OutH*OutW]; column p
-// holds the receptive field of output pixel p, zero-filled where the
-// window overlaps padding.
-func Im2Col(img *Tensor, g ConvGeom) *Tensor {
-	col := New(g.ColRows(), g.OutH()*g.OutW())
-	Im2ColInto(col, img, g)
-	return col
-}
-
-// Im2ColInto is Im2Col writing into a preallocated destination.
-func Im2ColInto(col, img *Tensor, g ConvGeom) {
-	Im2ColSlice(col.Data, img.Data, g)
-}
-
-// Im2ColSlice is the raw-slice core of Im2Col, for callers that window
-// per-sample regions out of a batch buffer without allocating tensor
-// headers. dst must hold ColRows()·OutH()·OutW() values, src InLen().
+// Im2ColSlice lowers one [C,H,W] image to the column matrix used by
+// GEMM-based convolution, [C*KH*KW, OutH*OutW]: column p holds the
+// receptive field of output pixel p, zero-filled where the window overlaps
+// padding. It works on raw slices, so callers window per-sample regions
+// out of a batch buffer without allocating tensor headers. dst must hold
+// ColRows()·OutH()·OutW() values, src InLen().
 func Im2ColSlice(dst, src []float64, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	cols := outH * outW
@@ -88,24 +76,10 @@ func Im2ColSlice(dst, src []float64, g ConvGeom) {
 	}
 }
 
-// Col2Im scatters a column matrix (the gradient w.r.t. an Im2Col result)
-// back into image space, accumulating overlapping contributions. It is the
-// exact adjoint of Im2Col.
-func Col2Im(col *Tensor, g ConvGeom) *Tensor {
-	img := New(g.InC, g.InH, g.InW)
-	Col2ImInto(img, col, g)
-	return img
-}
-
-// Col2ImInto is Col2Im writing into a preallocated destination, which is
-// zeroed before the scatter.
-func Col2ImInto(img, col *Tensor, g ConvGeom) {
-	Col2ImSlice(img.Data, col.Data, g)
-}
-
-// Col2ImSlice is the raw-slice core of Col2Im. dst (length InLen()) is
-// zeroed, then overlapping receptive-field contributions from src are
-// accumulated into it.
+// Col2ImSlice scatters a column matrix (the gradient w.r.t. an Im2ColSlice
+// result) back into image space, the exact adjoint of Im2ColSlice. dst
+// (length InLen()) is zeroed, then overlapping receptive-field
+// contributions from src are accumulated into it.
 func Col2ImSlice(dst, src []float64, g ConvGeom) {
 	for i := range dst {
 		dst[i] = 0
@@ -134,53 +108,6 @@ func Col2ImSlice(dst, src []float64, g ConvGeom) {
 					}
 				}
 				r++
-			}
-		}
-	}
-}
-
-// ConvDirect computes a 2-D convolution of a [C,H,W] image with kernels
-// [outC, C, KH, KW] by direct summation. It is O(outC·C·KH·KW·outH·outW)
-// and exists as the reference implementation that the GEMM path is tested
-// against.
-func ConvDirect(img, kernels *Tensor, g ConvGeom) *Tensor {
-	out := New(kernels.Shape[0], g.OutH(), g.OutW())
-	ConvDirectInto(out, img, kernels, g)
-	return out
-}
-
-// ConvDirectInto is ConvDirect writing into a preallocated destination of
-// shape [outC, OutH, OutW].
-func ConvDirectInto(out, img, kernels *Tensor, g ConvGeom) {
-	outC := kernels.Shape[0]
-	outH, outW := g.OutH(), g.OutW()
-	if len(out.Data) != outC*outH*outW {
-		panic("tensor: ConvDirectInto destination size mismatch")
-	}
-	// Flat indexing instead of At(): the variadic index slices would
-	// allocate in the innermost loop.
-	for oc := 0; oc < outC; oc++ {
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				s := 0.0
-				for c := 0; c < g.InC; c++ {
-					imgBase := c * g.InH * g.InW
-					kernBase := (oc*g.InC + c) * g.KH * g.KW
-					for ky := 0; ky < g.KH; ky++ {
-						iy := oy*g.Stride + ky - g.Pad
-						if iy < 0 || iy >= g.InH {
-							continue
-						}
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ox*g.Stride + kx - g.Pad
-							if ix < 0 || ix >= g.InW {
-								continue
-							}
-							s += img.Data[imgBase+iy*g.InW+ix] * kernels.Data[kernBase+ky*g.KW+kx]
-						}
-					}
-				}
-				out.Data[(oc*outH+oy)*outW+ox] = s
 			}
 		}
 	}

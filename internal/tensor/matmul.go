@@ -10,13 +10,6 @@ import "fmt"
 // did. Slice-level serial entry points for callers that own their own
 // parallelism (MatMulSliceInto and friends) live alongside the engine.
 
-// MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n).
-func MatMul(a, b *Tensor) *Tensor {
-	m, _ := dims2(a, "MatMul lhs")
-	_, n := dims2(b, "MatMul rhs")
-	return MatMulInto(New(m, n), a, b)
-}
-
 // MatMulInto computes dst = A·B, reusing dst's storage. dst must be m×n.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k := dims2(a, "MatMul lhs")
@@ -29,13 +22,6 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	}
 	gemmRun(dst.Data, a.Data, b.Data, m, n, k, gemmNN, true)
 	return dst
-}
-
-// MatMulNT computes C = A·Bᵀ where A is m×k and B is n×k.
-func MatMulNT(a, b *Tensor) *Tensor {
-	m, _ := dims2(a, "MatMulNT lhs")
-	n, _ := dims2(b, "MatMulNT rhs")
-	return MatMulNTInto(New(m, n), a, b)
 }
 
 // MatMulNTInto computes dst = A·Bᵀ, reusing dst's storage. dst must be m×n.
@@ -52,13 +38,6 @@ func MatMulNTInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// MatMulTN computes C = Aᵀ·B where A is k×m and B is k×n.
-func MatMulTN(a, b *Tensor) *Tensor {
-	_, m := dims2(a, "MatMulTN lhs")
-	_, n := dims2(b, "MatMulTN rhs")
-	return MatMulTNInto(New(m, n), a, b)
-}
-
 // MatMulTNInto computes dst = Aᵀ·B, reusing dst's storage. dst must be m×n.
 func MatMulTNInto(dst, a, b *Tensor) *Tensor {
 	k, m := dims2(a, "MatMulTN lhs")
@@ -71,38 +50,6 @@ func MatMulTNInto(dst, a, b *Tensor) *Tensor {
 	}
 	gemmRun(dst.Data, a.Data, b.Data, m, n, k, gemmTN, true)
 	return dst
-}
-
-// Transpose returns Aᵀ for a 2-D tensor.
-func Transpose(a *Tensor) *Tensor {
-	m, n := dims2(a, "Transpose")
-	return TransposeInto(New(n, m), a)
-}
-
-// TransposeInto computes dst = Aᵀ, reusing dst's storage. dst must be n×m
-// for an m×n input.
-func TransposeInto(dst, a *Tensor) *Tensor {
-	m, n := dims2(a, "Transpose")
-	if len(dst.Data) != m*n {
-		panic("tensor: TransposeInto destination size mismatch")
-	}
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			dst.Data[j*m+i] = v
-		}
-	}
-	return dst
-}
-
-// MatVec computes y = A·x for A m×k and x of length k. It allocates the
-// result on every call; hot paths should use MatVecInto with caller-owned
-// storage or Workspace.MatVec with an arena-backed buffer.
-func MatVec(a *Tensor, x []float64) []float64 {
-	m, _ := dims2(a, "MatVec")
-	y := make([]float64, m)
-	MatVecInto(y, a, x)
-	return y
 }
 
 // MatVecInto computes y = A·x into a caller-provided y of length m.

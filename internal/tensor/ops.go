@@ -39,19 +39,3 @@ func AddColSums(dst []float64, t *Tensor) {
 		}
 	}
 }
-
-// SumRowsInto writes each row's sum of the m×n tensor t into dst (length m).
-func SumRowsInto(dst []float64, t *Tensor) {
-	m, n := dims2(t, "SumRowsInto")
-	if len(dst) != m {
-		panic(fmt.Sprintf("tensor: SumRowsInto destination length %d != %d", len(dst), m))
-	}
-	for i := 0; i < m; i++ {
-		trow := t.Data[i*n : (i+1)*n]
-		s := 0.0
-		for _, v := range trow {
-			s += v
-		}
-		dst[i] = s
-	}
-}

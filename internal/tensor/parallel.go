@@ -9,7 +9,7 @@ import (
 // maxWorkers caps kernel parallelism. It defaults to GOMAXPROCS and can be
 // lowered in tests for determinism probing (results are deterministic either
 // way: work is partitioned, never reduced concurrently into shared state).
-// It is atomic because Parallel reads it from arbitrary goroutines while
+// It is atomic because the pool reads it from arbitrary goroutines while
 // SetMaxWorkers may be called concurrently.
 var maxWorkers atomic.Int32
 
@@ -47,7 +47,7 @@ type KernelArgs struct {
 // workerPool runs parallel regions on a set of persistent goroutines.
 //
 // One region runs at a time (the mutex serializes them); a caller that finds
-// the pool busy — including a nested Parallel from inside a kernel — simply
+// the pool busy — including a nested region from inside a kernel — simply
 // runs its indices inline, which is always correct because regions never
 // require true concurrency. The calling goroutine participates as a worker,
 // so a pool with W background workers executes on W+1 goroutines.
@@ -63,11 +63,10 @@ type workerPool struct {
 	wake []chan struct{}
 	done sync.WaitGroup
 
-	// Region state. Exactly one of fn / (cfn, ctx) / (kfn, args) is set.
+	// Region state. Exactly one of (cfn, ctx) / (kfn, args) is set.
 	next  atomic.Int64
 	n     int
 	chunk int
-	fn    func(int)
 	cfn   func(any, int)
 	ctx   any
 	kfn   func(*KernelArgs, int)
@@ -121,10 +120,6 @@ func (p *workerPool) runChunks() {
 			hi = n
 		}
 		switch {
-		case p.fn != nil:
-			for i := lo; i < hi; i++ {
-				p.fn(i)
-			}
 		case p.cfn != nil:
 			for i := lo; i < hi; i++ {
 				p.cfn(p.ctx, i)
@@ -137,10 +132,10 @@ func (p *workerPool) runChunks() {
 	}
 }
 
-// run executes one parallel region. Exactly one of fn / (cfn, ctx) /
-// (kfn, args) must be provided; args is copied into pool storage so the
-// caller may pass a stack value.
-func (p *workerPool) run(n int, fn func(int), cfn func(any, int), ctx any, kfn func(*KernelArgs, int), args *KernelArgs) {
+// run executes one parallel region. Exactly one of (cfn, ctx) / (kfn, args)
+// must be provided; args is copied into pool storage so the caller may pass
+// a stack value.
+func (p *workerPool) run(n int, cfn func(any, int), ctx any, kfn func(*KernelArgs, int), args *KernelArgs) {
 	workers := int(maxWorkers.Load())
 	if workers > n {
 		workers = n
@@ -149,10 +144,6 @@ func (p *workerPool) run(n int, fn func(int), cfn func(any, int), ctx any, kfn f
 		// Serial fallback: tiny regions, single-worker mode, and nested or
 		// concurrent regions (the pool is busy) all run inline.
 		switch {
-		case fn != nil:
-			for i := 0; i < n; i++ {
-				fn(i)
-			}
 		case cfn != nil:
 			for i := 0; i < n; i++ {
 				cfn(ctx, i)
@@ -184,7 +175,7 @@ func (p *workerPool) run(n int, fn func(int), cfn func(any, int), ctx any, kfn f
 	p.n = n
 	p.chunk = (n + workers - 1) / workers
 	p.next.Store(0)
-	p.fn, p.cfn, p.ctx, p.kfn = fn, cfn, ctx, kfn
+	p.cfn, p.ctx, p.kfn = cfn, ctx, kfn
 	if kfn != nil {
 		p.args = *args
 	}
@@ -194,32 +185,23 @@ func (p *workerPool) run(n int, fn func(int), cfn func(any, int), ctx any, kfn f
 	}
 	p.runChunks()
 	p.done.Wait()
-	p.fn, p.cfn, p.ctx, p.kfn = nil, nil, nil, nil
+	p.cfn, p.ctx, p.kfn = nil, nil, nil
 	p.args = KernelArgs{}
 }
 
-// Parallel runs fn(i) for i in [0, n) across up to MaxWorkers goroutines
-// of the persistent worker pool. Each index is processed exactly once.
-// Small n runs inline to avoid dispatch overhead.
-//
-// The closure passed here typically heap-allocates at the call site; hot
-// paths that must stay allocation-free should use ParallelCtx or
-// ParallelKernel instead.
-func Parallel(n int, fn func(i int)) {
-	pool.run(n, fn, nil, nil, nil, nil)
-}
-
-// ParallelCtx runs fn(ctx, i) for i in [0, n) on the worker pool. When fn
-// is a top-level function and ctx is a pointer (e.g. a layer's scratch
-// struct), dispatch performs zero heap allocations: a static func value is
-// free and boxing a pointer into an interface does not allocate.
+// ParallelCtx runs fn(ctx, i) for i in [0, n) across up to MaxWorkers
+// goroutines of the persistent worker pool. Each index is processed exactly
+// once; small n runs inline to avoid dispatch overhead. When fn is a
+// top-level function and ctx is a pointer (e.g. a layer's scratch struct),
+// dispatch performs zero heap allocations: a static func value is free and
+// boxing a pointer into an interface does not allocate.
 func ParallelCtx(n int, ctx any, fn func(ctx any, i int)) {
-	pool.run(n, nil, fn, ctx, nil, nil)
+	pool.run(n, fn, ctx, nil, nil)
 }
 
 // ParallelKernel runs fn(&args, i) for i in [0, n) on the worker pool,
 // copying args by value into pool-owned storage. It is the allocation-free
 // dispatch used by the tensor kernels themselves.
 func ParallelKernel(n int, args *KernelArgs, fn func(*KernelArgs, int)) {
-	pool.run(n, nil, nil, nil, fn, args)
+	pool.run(n, nil, nil, fn, args)
 }

@@ -60,71 +60,3 @@ func MaxPool2DGrad(dx, grad []float64, arg []int) {
 		}
 	}
 }
-
-// AvgPool2D average-pools one [C,H,W] image into dst ([C,OutH,OutW]) with
-// count_include_pad=true semantics (the divisor is the fixed window size).
-//
-//hpnn:noalloc
-func AvgPool2D(dst, src []float64, g ConvGeom) {
-	outH, outW := g.OutH(), g.OutW()
-	inv := 1 / float64(g.KH*g.KW)
-	o := 0
-	for c := 0; c < g.InC; c++ {
-		base := c * g.InH * g.InW
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				s := 0.0
-				for ky := 0; ky < g.KH; ky++ {
-					iy := oy*g.Stride + ky - g.Pad
-					if iy < 0 || iy >= g.InH {
-						continue
-					}
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ox*g.Stride + kx - g.Pad
-						if ix < 0 || ix >= g.InW {
-							continue
-						}
-						s += src[base+iy*g.InW+ix]
-					}
-				}
-				dst[o] = s * inv
-				o++
-			}
-		}
-	}
-}
-
-// AvgPool2DGrad distributes pooled gradients uniformly over each window.
-// dx is zeroed first.
-//
-//hpnn:noalloc
-func AvgPool2DGrad(dx, grad []float64, g ConvGeom) {
-	for i := range dx {
-		dx[i] = 0
-	}
-	outH, outW := g.OutH(), g.OutW()
-	inv := 1 / float64(g.KH*g.KW)
-	o := 0
-	for c := 0; c < g.InC; c++ {
-		base := c * g.InH * g.InW
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				gv := grad[o] * inv
-				o++
-				for ky := 0; ky < g.KH; ky++ {
-					iy := oy*g.Stride + ky - g.Pad
-					if iy < 0 || iy >= g.InH {
-						continue
-					}
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ox*g.Stride + kx - g.Pad
-						if ix < 0 || ix >= g.InW {
-							continue
-						}
-						dx[base+iy*g.InW+ix] += gv
-					}
-				}
-			}
-		}
-	}
-}

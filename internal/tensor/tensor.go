@@ -168,6 +168,8 @@ func (t *Tensor) L2Norm() float64 {
 
 // Equal reports whether a and b have identical shapes and elementwise values
 // within tol.
+//
+//hpnn:allow(unused) test fixture: tests in six packages compare tensors with it
 func Equal(a, b *Tensor, tol float64) bool {
 	if len(a.Shape) != len(b.Shape) {
 		return false

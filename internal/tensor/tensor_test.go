@@ -202,7 +202,7 @@ func TestMatVec(t *testing.T) {
 func TestParallelCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 17, 100, 1000} {
 		hits := make([]int32, n)
-		Parallel(n, func(i int) { hits[i]++ })
+		ParallelCtx(n, hits, func(ctx any, i int) { ctx.([]int32)[i]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("n=%d index %d visited %d times", n, i, h)
@@ -215,9 +215,9 @@ func TestSetMaxWorkers(t *testing.T) {
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
 	sum := 0
-	Parallel(10, func(i int) { sum += i }) // safe with 1 worker
+	ParallelCtx(10, &sum, func(ctx any, i int) { *ctx.(*int) += i }) // safe with 1 worker
 	if sum != 45 {
-		t.Fatalf("single-worker Parallel sum = %d", sum)
+		t.Fatalf("single-worker ParallelCtx sum = %d", sum)
 	}
 }
 

@@ -101,14 +101,6 @@ func (w *Workspace) Get(key string, shape ...int) *Tensor {
 	return t
 }
 
-// GetZeroed is Get with the returned buffer zero-filled, for kernels that
-// accumulate into their destination.
-func (w *Workspace) GetZeroed(key string, shape ...int) *Tensor {
-	t := w.Get(key, shape...)
-	t.Zero()
-	return t
-}
-
 // Seal freezes the workspace's memory footprint: after Seal, a Get that
 // would create a new buffer or grow an existing one panics instead of
 // allocating. Callers with a fixed working set (a serving shard after its
@@ -116,9 +108,6 @@ func (w *Workspace) GetZeroed(key string, shape ...int) *Tensor {
 // invariant from a benchmark observation into an enforced runtime contract.
 // Reshaping within existing capacity remains allowed.
 func (w *Workspace) Seal() { w.sealed = true }
-
-// Sealed reports whether the workspace has been sealed.
-func (w *Workspace) Sealed() bool { return w.sealed }
 
 // Reset zeroes and drops every buffer, releasing the memory to the garbage
 // collector, and lifts any seal. Zeroing first means no alias of a dropped

@@ -38,9 +38,9 @@ import (
 //     cycles): −(b+Σ) under wrapping arithmetic equals the branchless
 //     two's-complement flip (s ^ −1) − (−1), so the lock folds into the
 //     GEMM epilogue as a per-output sign mask;
-//   - activation quantization is per sample on both backends (quantizeSlice
-//     is operation-for-operation QuantizeToInto, widening each int8 code),
-//     so scales — and thus every downstream float — agree bitwise.
+//   - both backends quantize through one quantizer (quantizeSlice): the
+//     weights once at compile, the activations per sample, so scales — and
+//     thus every downstream float — agree bitwise.
 //
 // Key bits are cached as sign masks per op. Revocation is the only runtime
 // event that changes a ColumnBit answer, so each op probes the device's
@@ -93,19 +93,20 @@ func (lm *lockMask) wipe() {
 	*lm = lockMask{}
 }
 
-// macCore is the program side of a fused conv or dense op: the int8 codes
-// of the (folded) weights W[m, k], the codes widened to float64 for the
-// GEMM, the float bias, and the lock's column assignment (nil when the
-// scheme places no lock in the datapath). The device side — the sign mask
-// and the integer scratch — is the op's opState.
+// macCore is the program side of a fused conv or dense op: the codes of
+// the (folded) weights W[m, k] and their scale, the float bias, and the
+// lock's column assignment (nil when the scheme places no lock in the
+// datapath). The device side — the sign mask and the integer scratch — is
+// the op's opState.
 type macCore struct {
 	b     *tensor.Tensor
 	m, k  int
 	relu  bool
 	ownsB bool // b is the BN fold's clone, not the model's tensor
 
-	qW     *QTensor
-	wCodes []float64
+	wCodes []float64 // W's codes at the datapath width, widened for the GEMM
+	w8     []int8    // the same codes narrowed for the MMU
+	wScale float64   // W ≈ wScale·codes
 	cols   []int
 	outKey string
 	slot   int
@@ -137,13 +138,13 @@ func (c *macCore) ready(a *Accelerator, s *state, p int) *opState {
 // stream through MatMulLockedInto. Either way the activation unit then
 // overwrites dst.
 func (c *macCore) finish(a *Accelerator, st *opState, dst, x []float64, p int, inScale float64) {
-	accScale := inScale * c.qW.Scale
+	accScale := inScale * c.wScale
 	st.bias = QuantizeBiasInto(st.bias, c.b, accScale)
 	if a.onMMU {
 		for i, v := range x {
 			st.x8[i] = int8(v)
 		}
-		st.acc = a.mmu.MatMulLockedInto(st.acc, c.qW.Data, c.m, c.k, st.x8, p, st.bias, c.cols)
+		st.acc = a.mmu.MatMulLockedInto(st.acc, c.w8, c.m, c.k, st.x8, p, st.bias, c.cols)
 	} else {
 		for o := 0; o < c.m; o++ {
 			sums, row, b := dst[o*p:(o+1)*p], st.acc[o*p:(o+1)*p], st.bias[o]

@@ -72,9 +72,6 @@ func NewMMU(cfg Config, dev *keys.Device) (*MMU, error) {
 	return &MMU{cfg: cfg, dev: dev}, nil
 }
 
-// Config returns the MMU geometry.
-func (m *MMU) Config() Config { return m.cfg }
-
 // Stats returns the accumulated activity counters.
 func (m *MMU) Stats() Stats { return m.stats }
 
@@ -99,25 +96,20 @@ func (m *MMU) deviceRevoked() bool {
 	return m.dev != nil && m.dev.Revoked()
 }
 
-// MatMulLocked computes out[o][p] = L·(Σ_k W[o][k]·X[k][p] + bias[o]) in
-// int32, where the lock factor L of output neuron (o, p) is set by the key
-// bit of accumulator column cols[o·P+p] (the hardware schedule's
-// neuron→column assignment; nil means unlocked). W is [M, K] int8, X is
-// [K, P] int8, bias is per-output-row int32 at accumulator scale.
+// MatMulLockedInto computes out[o][p] = L·(Σ_k W[o][k]·X[k][p] + bias[o])
+// in int32 into dst (grown as needed and returned), where the lock factor L
+// of output neuron (o, p) is set by the key bit of accumulator column
+// cols[o·P+p] (the hardware schedule's neuron→column assignment; nil means
+// unlocked). W is [M, K] int8, X is [K, P] int8, bias is per-output-row
+// int32 at accumulator scale. Compiled plan ops keep one accumulator
+// buffer per op, so a steady-state PredictSample — every MAC on this
+// unit — performs no MMU-side allocation.
 //
 // The bias is preloaded into the accumulator register. Because the paper's
 // lock applies to the whole pre-activation MAC_j (the bias is the weight of
 // a constant-one input), the bias preload path is conditioned by the same
 // key bit as the product stream — negated on preload when k = 1 — so the
 // unit produces exactly L_j·(Σ a·w + b).
-func (m *MMU) MatMulLocked(w []int8, mRows, k int, x []int8, p int, bias []int32, cols []int) []int32 {
-	return m.MatMulLockedInto(nil, w, mRows, k, x, p, bias, cols)
-}
-
-// MatMulLockedInto is MatMulLocked writing the accumulator outputs into dst
-// (grown as needed and returned). Compiled plan ops keep one accumulator
-// buffer per op, so a steady-state PredictSample — every MAC on this
-// unit — performs no MMU-side allocation.
 func (m *MMU) MatMulLockedInto(dst []int32, w []int8, mRows, k int, x []int8, p int, bias []int32, cols []int) []int32 {
 	if len(w) != mRows*k {
 		panic(fmt.Sprintf("tpu: weight buffer %d != %d×%d", len(w), mRows, k))
@@ -182,15 +174,11 @@ func (m *MMU) accountMatMul(mRows, k, p int, gateOps, locked uint64) {
 	m.stats.LockedOutputs += locked
 }
 
-// ReLUQuantize is the activation unit: ReLU on the int32 accumulators, then
-// requantization of the surviving range to int8 with the returned scale.
-// accScale is the accumulator LSB value (inputScale·weightScale).
-func ReLUQuantize(acc []int32, accScale float64) ([]int8, float64) {
-	return ReLUQuantizeInto(nil, acc, accScale)
-}
-
-// ReLUQuantizeInto is ReLUQuantize writing into dst (grown as needed and
-// returned), so compiled inference ops reuse one buffer across samples.
+// ReLUQuantizeInto is the activation unit: ReLU on the int32 accumulators,
+// then requantization of the surviving range to int8 with the returned
+// scale, written into dst (grown as needed and returned) so compiled
+// inference ops reuse one buffer across samples. accScale is the
+// accumulator LSB value (inputScale·weightScale).
 func ReLUQuantizeInto(dst []int8, acc []int32, accScale float64) ([]int8, float64) {
 	if cap(dst) < len(acc) {
 		dst = make([]int8, len(acc)) //hpnn:allow(noalloc) grow-on-first-use; plan ops reuse one activation buffer

@@ -139,7 +139,7 @@ func (p *Program) Bytes() int {
 		}
 	}
 	eachMAC(p.ops, func(c *macCore) {
-		total += 8*len(c.wCodes) + len(c.qW.Data)
+		total += 8*len(c.wCodes) + len(c.w8)
 		if c.ownsB {
 			total += 8 * len(c.b.Data)
 		}
@@ -156,7 +156,7 @@ func (p *Program) Bytes() int {
 // device runs the program.
 func (p *Program) Release() {
 	eachMAC(p.ops, func(c *macCore) {
-		clear(c.qW.Data)
+		clear(c.w8)
 		clear(c.wCodes)
 		if c.ownsB {
 			clear(c.b.Data)
@@ -219,9 +219,7 @@ func (c *planCompiler) compile(net *nn.Network) ([]planOp, error) {
 			ops = append(ops, op)
 			i += consumed
 		case *nn.MaxPool:
-			ops = append(ops, &poolOp{geom: l.Geom, max: true, outKey: c.key("maxpool"), slot: c.slot()})
-		case *nn.AvgPool:
-			ops = append(ops, &poolOp{geom: l.Geom, outKey: c.key("avgpool"), slot: c.slot()})
+			ops = append(ops, &poolOp{geom: l.Geom, outKey: c.key("maxpool"), slot: c.slot()})
 		case *nn.GlobalAvgPool:
 			ops = append(ops, &globalPoolOp{outKey: c.key("gap")})
 		case *nn.Flatten:
@@ -324,11 +322,12 @@ func (c *planCompiler) fuseMAC(layers []nn.Layer, i int) (planOp, int, error) {
 func (c *planCompiler) macCore(w, b *tensor.Tensor, m, k, pix int, lockID string, relu, ownsB bool, kind string) macCore {
 	mc := macCore{
 		b: b, m: m, k: k, relu: relu, ownsB: ownsB,
-		qW: QuantizeTo(w, c.bits), outKey: c.key(kind), slot: c.slot(),
+		wCodes: make([]float64, len(w.Data)), w8: make([]int8, len(w.Data)),
+		outKey: c.key(kind), slot: c.slot(),
 	}
-	mc.wCodes = make([]float64, len(mc.qW.Data))
-	for i, v := range mc.qW.Data {
-		mc.wCodes[i] = float64(v)
+	mc.wScale = quantizeSlice(mc.wCodes, w.Data, c.bits)
+	for i, v := range mc.wCodes {
+		mc.w8[i] = int8(v)
 	}
 	if lockID != "" {
 		mc.cols = c.low.MACColumns(lockID, m*pix)
@@ -518,21 +517,15 @@ func (o *denseOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Ten
 	return out, nil
 }
 
-// poolOp max- or average-pools each sample on the vector unit, into the
-// device state, where Release zeroes it with every other output.
+// poolOp max-pools each sample on the vector unit, into the device state,
+// where Release zeroes it with every other output.
 type poolOp struct {
 	geom   tensor.ConvGeom
-	max    bool
 	outKey string
 	slot   int
 }
 
-func (o *poolOp) opName() string {
-	if o.max {
-		return "maxpool"
-	}
-	return "avgpool"
-}
+func (o *poolOp) opName() string { return "maxpool" }
 
 func (o *poolOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error) {
 	g := o.geom
@@ -543,19 +536,12 @@ func (o *poolOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tens
 	out := s.ws.Get(o.outKey, n, g.InC, g.OutH(), g.OutW())
 	in, per := g.InLen(), g.InC*g.OutH()*g.OutW()
 	st := &s.ops[o.slot]
-	if o.max {
-		st.arg = tensor.EnsureInts(st.arg, per)
-	}
+	st.arg = tensor.EnsureInts(st.arg, per)
 	if a.sizing {
 		return out, nil
 	}
 	for i := 0; i < n; i++ {
-		dst, src := out.Data[i*per:(i+1)*per], act.Data[i*in:(i+1)*in]
-		if o.max {
-			tensor.MaxPool2D(dst, st.arg, src, g)
-		} else {
-			tensor.AvgPool2D(dst, src, g)
-		}
+		tensor.MaxPool2D(out.Data[i*per:(i+1)*per], st.arg, act.Data[i*in:(i+1)*in], g)
 	}
 	return out, nil
 }

@@ -7,7 +7,8 @@
 //
 // The simulator provides:
 //
-//   - int8 symmetric quantization of weights and activations (Quantize);
+//   - int8 symmetric quantization of weights and activations
+//     (quantizeSlice);
 //   - a gate-level model of the key-dependent accumulator (acc.go) whose
 //     bit-for-bit behaviour is proven equal to integer arithmetic by
 //     property tests, plus a fast arithmetic mode for full-dataset runs;
@@ -24,75 +25,20 @@ import (
 	"hpnn/internal/tensor"
 )
 
-// QTensor is an int8-quantized tensor with a symmetric per-tensor scale:
-// real ≈ Scale · int8. This mirrors the TPU's signed 8-bit datapath.
-type QTensor struct {
-	Shape []int
-	Data  []int8
-	Scale float64
-}
-
-// Quantize converts t to int8 with a symmetric scale chosen so the largest
-// magnitude maps to ±127. An all-zero tensor quantizes with scale 1.
-func Quantize(t *tensor.Tensor) *QTensor { return QuantizeTo(t, 8) }
-
-// QuantizeTo quantizes to a narrower signed datapath of the given bit
-// width (2-8): values map symmetrically onto ±(2^(bits-1)−1). Narrower
-// widths model cheaper edge accelerators and drive the quantization
-// ablation.
-func QuantizeTo(t *tensor.Tensor, bits int) *QTensor {
-	return QuantizeToInto(nil, t, bits)
-}
-
-// QuantizeToInto is QuantizeTo reusing q's storage (nil allocates a fresh
-// QTensor). Activation quantization runs once per op per sample, so buffer
-// reuse here keeps steady-state inference allocation-free.
-func QuantizeToInto(q *QTensor, t *tensor.Tensor, bits int) *QTensor {
-	if bits < 2 || bits > 8 {
-		panic(fmt.Sprintf("tpu: quantization width %d out of [2,8]", bits))
-	}
-	qmax := float64(int(1)<<(bits-1) - 1)
-	maxAbs := t.MaxAbs()
-	scale := 1.0
-	if maxAbs > 0 {
-		scale = maxAbs / qmax
-	}
-	if q == nil {
-		q = &QTensor{} //hpnn:allow(noalloc) first-use allocation; compiled ops pass a live QTensor
-	}
-	q.Shape = append(q.Shape[:0], t.Shape...)
-	if cap(q.Data) < t.Len() {
-		q.Data = make([]int8, t.Len()) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
-	}
-	q.Data = q.Data[:t.Len()]
-	q.Scale = scale
-	inv := 1 / scale
-	for i, v := range t.Data {
-		r := math.Round(v * inv)
-		if r > qmax {
-			r = qmax
-		}
-		if r < -qmax {
-			r = -qmax
-		}
-		q.Data[i] = int8(r)
-	}
-	return q
-}
-
 // quantizeSlice quantizes src into dst (same length, caller-sized; dst may
-// be src) and returns the symmetric scale. It is the raw-slice core of
-// QuantizeToInto and MUST stay operation-for-operation identical to it —
-// same max-abs scan, same scale rule, same round-and-clamp — because every
-// op quantizes each sample's activations through this path on both MAC
-// backends, and the codes must be the datapath's QuantizeTo codes (pinned
-// by TestQuantizeSliceMatchesQuantizeToInto).
+// be src) and returns the symmetric scale chosen so the largest magnitude
+// maps to ±(2^(bits-1)−1); an all-zero src quantizes with scale 1. It is
+// the datapath's one quantizer: compile quantizes each op's weights
+// through it, and every op quantizes each sample's activations through it
+// on both MAC backends. Widths 2-8 model cheaper edge accelerators and
+// drive the quantization ablation. The tests pin it against the reference
+// QTensor quantizer (TestQuantizeSliceMatchesQuantizeToInto).
 //
 // dst holds each code widened to float64 for the float GEMM, and the code
 // is float64(int8(r)), never the rounded float r: a finite sample whose
 // max |x| is near the smallest normal has 1/scale = +Inf, so its zeros
-// round through 0·Inf = NaN. QuantizeToInto stores int8(NaN), which is 0;
-// a NaN code would poison every sum it enters.
+// round through 0·Inf = NaN. int8(NaN) is 0; a NaN code would poison every
+// sum it enters.
 //
 //hpnn:noalloc
 func quantizeSlice(dst, src []float64, bits int) float64 {
@@ -137,28 +83,11 @@ func clampInt8(v float64) int8 {
 	return int8(v)
 }
 
-// Dequantize converts back to float64.
-func (q *QTensor) Dequantize() *tensor.Tensor {
-	t := tensor.New(q.Shape...)
-	for i, v := range q.Data {
-		t.Data[i] = float64(v) * q.Scale
-	}
-	return t
-}
-
-// Len returns the element count.
-func (q *QTensor) Len() int { return len(q.Data) }
-
-// QuantizeBias converts a float bias vector to int32 at the accumulator
+// QuantizeBiasInto converts a float bias vector to int32 at the accumulator
 // scale (inputScale · weightScale), the standard integer-only inference
-// convention.
-func QuantizeBias(b *tensor.Tensor, accScale float64) []int32 {
-	return QuantizeBiasInto(nil, b, accScale)
-}
-
-// QuantizeBiasInto is QuantizeBias writing into dst (grown as needed). The
-// bias requantizes every sample — its scale tracks the input scale — so the
-// compiled ops keep one buffer alive instead of allocating per inference.
+// convention, writing into dst (grown as needed). The bias requantizes
+// every sample — its scale tracks the input scale — so the compiled ops
+// keep one buffer alive instead of allocating per inference.
 func QuantizeBiasInto(dst []int32, b *tensor.Tensor, accScale float64) []int32 {
 	if cap(dst) < b.Len() {
 		dst = make([]int32, b.Len()) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
@@ -176,9 +105,4 @@ func QuantizeBiasInto(dst []int32, b *tensor.Tensor, accScale float64) []int32 {
 		out[i] = int32(r)
 	}
 	return out
-}
-
-// String describes the quantized tensor.
-func (q *QTensor) String() string {
-	return fmt.Sprintf("QTensor%v(scale=%.3g)", q.Shape, q.Scale)
 }

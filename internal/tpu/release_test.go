@@ -183,7 +183,7 @@ func (al *aliases) addProgram(p *Program) {
 		published[&prm.Value.Data[0]] = true
 	}
 	eachMAC(p.ops, func(mc *macCore) {
-		al.codes = append(al.codes, mc.qW.Data)
+		al.codes = append(al.codes, mc.w8)
 		al.floats = append(al.floats, mc.wCodes)
 		if !published[&mc.b.Data[0]] {
 			al.floats = append(al.floats, mc.b.Data)

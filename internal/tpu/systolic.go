@@ -18,7 +18,7 @@ import "fmt"
 // accumulators that collect the partial sums leaving the array's south
 // edge, whose key bit conditionally negates the incoming value. The
 // simulation exists to validate the analytic model: identical results to
-// MatMulLocked and a measured pipeline latency that matches the
+// MatMulLockedInto and a measured pipeline latency that matches the
 // fill + stream + drain accounting.
 
 // SystolicArray is a weight-stationary PE grid.
@@ -157,9 +157,3 @@ func (s *SystolicArray) MatMulTile(x []int8, k, p int, m int, kbits []byte) ([]i
 	}
 	return out, s.CyclesRun - start, nil
 }
-
-// Rows returns the PE-grid row count.
-func (s *SystolicArray) Rows() int { return s.rows }
-
-// Cols returns the PE-grid column count.
-func (s *SystolicArray) Cols() int { return s.cols }

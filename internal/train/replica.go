@@ -5,7 +5,6 @@ import (
 
 	"hpnn/internal/dataset"
 	"hpnn/internal/nn"
-	"hpnn/internal/rng"
 	"hpnn/internal/tensor"
 )
 
@@ -48,16 +47,13 @@ import (
 // # Shared state discipline
 //
 // Replica networks are nn.ReplicaClone()s: weights, lock factors and BN
-// running statistics are shared read-only; gradients, scratch, dropout
-// generators and BN statistic outputs are private. Batch-norm batch stats
-// are redirected per shard into engine-owned buffers and folded into the
-// shared running stats serially, in shard order, after the barrier; shard
-// losses are summed in shard order the same way. Dropout generators are
-// reseeded per (step, shard, layer), so mask draws depend on the shard
-// position, not on which replica ran it.
+// running statistics are shared read-only; gradients, scratch and BN
+// statistic outputs are private. Batch-norm batch stats are redirected per
+// shard into engine-owned buffers and folded into the shared running stats
+// serially, in shard order, after the barrier; shard losses are summed in
+// shard order the same way.
 type replicaEngine struct {
 	k, shards int
-	seed      uint64
 
 	masterParams []*nn.Param
 	masterBNs    []*nn.BatchNorm2D
@@ -84,7 +80,6 @@ type replica struct {
 	net   *nn.Network
 	locks []*nn.Lock
 	bns   []*nn.BatchNorm2D
-	drops []*nn.Dropout
 	loss  nn.SoftmaxCrossEntropy
 
 	// gradVec is the clone's parameter gradients rebased onto one flat
@@ -109,7 +104,6 @@ type replica struct {
 	// Per-step task, written by the driver before waking the replica.
 	b    dataset.Batch
 	invN float64
-	step int
 
 	wake chan struct{}
 }
@@ -118,7 +112,6 @@ func newReplicaEngine(net *nn.Network, cfg Config) *replicaEngine {
 	e := &replicaEngine{
 		k:            cfg.Replicas,
 		shards:       cfg.GradShards,
-		seed:         cfg.Seed,
 		masterParams: net.Params(),
 		masterBNs:    net.BatchNorms(),
 		masterLocks:  net.Locks(),
@@ -140,7 +133,6 @@ func newReplicaEngine(net *nn.Network, cfg Config) *replicaEngine {
 			net:   clone,
 			locks: clone.Locks(),
 			bns:   clone.BatchNorms(),
-			drops: clone.Dropouts(),
 			wake:  make(chan struct{}, 1),
 		}
 		rep.gradVec = nn.FlattenGrads(clone.Params())
@@ -214,13 +206,13 @@ func (e *replicaEngine) syncLocks() {
 // it in the master parameters' Grad tensors, returning the mean batch loss.
 // It replaces the forward/loss/backward stage of Trainer.step; clipping and
 // the optimizer update still run on the master afterwards.
-func (e *replicaEngine) gradStep(b dataset.Batch, globalStep int) float64 {
+func (e *replicaEngine) gradStep(b dataset.Batch) float64 {
 	e.ensureStarted()
 	e.syncLocks()
 	n := len(b.Y)
 	invN := 1 / float64(n)
 	for _, r := range e.reps {
-		r.b, r.invN, r.step = b, invN, globalStep
+		r.b, r.invN = b, invN
 	}
 	e.done.Add(len(e.reps))
 	// Clamp the worker pool for the replica phase: parallelism comes from
@@ -297,9 +289,6 @@ func (r *replica) runStep() {
 			r.push(li, false)
 			continue
 		}
-		for di, d := range r.drops {
-			d.Rng.Reseed(e.seed, dropStream(r.step, s, di))
-		}
 		for j, bn := range r.bns {
 			bn.StatsOut = e.stats[s][j]
 		}
@@ -351,11 +340,4 @@ func (r *replica) push(li int, srcPresent bool) {
 		copy(r.stack[lvl], src)
 	}
 	r.present[lvl] = srcPresent
-}
-
-// dropStream derives the dropout RNG stream for (global step, shard,
-// dropout-layer index) — replica-independent by construction.
-func dropStream(step, shard, layer int) uint64 {
-	h := rng.Mix64(uint64(step)*0x9e3779b97f4a7c15 + uint64(shard))
-	return rng.Mix64(h + uint64(layer))
 }

@@ -13,9 +13,9 @@ import (
 
 // convLockNet builds a small network exercising every layer family the
 // replica engine must handle: convolution, batch norm, locks, a residual
-// block, pooling and (optionally) dropout — over [N, 2, 8, 8] inputs with
-// 4 classes. Lock bits are programmed deterministically from seed.
-func convLockNet(seed uint64, withDropout bool) *nn.Network {
+// block and pooling — over [N, 2, 8, 8] inputs with 4 classes. Lock bits
+// are programmed deterministically from seed.
+func convLockNet(seed uint64) *nn.Network {
 	r := rng.New(seed)
 	g := tensor.ConvGeom{InC: 2, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	g2 := tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -29,11 +29,8 @@ func convLockNet(seed uint64, withDropout bool) *nn.Network {
 		nn.NewResidual(body, nil, post),
 		nn.NewMaxPool(tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 2, KW: 2, Stride: 2}),
 		nn.NewFlatten(),
+		nn.NewDense(4*4*4, 4).InitHe(r),
 	}
-	if withDropout {
-		layers = append(layers, nn.NewDropout(0.1, rng.New(seed+99)))
-	}
-	layers = append(layers, nn.NewDense(4*4*4, 4).InitHe(r))
 	net := nn.NewNetwork(layers...)
 	bitsRng := rng.New(seed + 7)
 	for _, l := range net.Locks() {
@@ -100,7 +97,7 @@ func TestReplicaS1MatchesLegacy(t *testing.T) {
 	x, y := convData(3, 30)
 	base := Config{Epochs: 2, BatchSize: 12, LR: 0.05, Momentum: 0.9, Seed: 11}
 
-	legacy := convLockNet(5, false)
+	legacy := convLockNet(5)
 	trL, err := New(legacy, base)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +107,7 @@ func TestReplicaS1MatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := convLockNet(5, false)
+	rep := convLockNet(5)
 	cfg := base
 	cfg.Replicas, cfg.GradShards = 1, 1
 	trR, err := New(rep, cfg)
@@ -133,8 +130,7 @@ func TestReplicaS1MatchesLegacy(t *testing.T) {
 // TestReplicaBitwiseAcrossK: for a fixed GradShards the run is bitwise
 // identical for every replica count that divides it and for any worker-pool
 // width — the replica count and SetMaxWorkers are pure execution knobs.
-// The dropout layer exercises the canonical per-(step, shard) reseeding;
-// the short final batch (30 % 12 = 6 rows over 8 shards) exercises empty
+// The short final batch (30 % 12 = 6 rows over 8 shards) exercises empty
 // ∅ leaves in the reduction tree.
 func TestReplicaBitwiseAcrossK(t *testing.T) {
 	x, y := convData(4, 30)
@@ -143,7 +139,7 @@ func TestReplicaBitwiseAcrossK(t *testing.T) {
 			old := tensor.SetMaxWorkers(workers)
 			defer tensor.SetMaxWorkers(old)
 		}
-		net := convLockNet(6, true)
+		net := convLockNet(6)
 		cfg := Config{Epochs: 2, BatchSize: 12, LR: 0.05, Momentum: 0.9, Seed: 13,
 			Replicas: k, GradShards: 8}
 		tr, err := New(net, cfg)

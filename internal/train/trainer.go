@@ -265,9 +265,6 @@ func newOptimizer(cfg Config) (nn.Optimizer, error) {
 	}
 }
 
-// Optimizer returns the Trainer's optimizer (tests and diagnostics).
-func (t *Trainer) Optimizer() nn.Optimizer { return t.opt }
-
 // Snapshot captures the resumable state at the current epoch boundary.
 // It deep-copies optimizer slots and trajectory, so the snapshot is
 // immune to further training.
@@ -388,7 +385,7 @@ func (t *Trainer) step(b dataset.Batch, epoch, stepIdx int, lr float64) float64 
 	}
 	var l float64
 	if t.eng != nil {
-		l = t.eng.gradStep(b, t.globalStep)
+		l = t.eng.gradStep(b)
 	} else {
 		out := t.net.Forward(b.X, true)
 		var g *tensor.Tensor

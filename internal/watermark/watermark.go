@@ -87,9 +87,6 @@ func New(m *core.Model, cfg Config) (*Mark, error) {
 	return &Mark{cfg: cfg, signature: sig, projection: proj, ws: tensor.NewWorkspace()}, nil
 }
 
-// Signature returns a copy of the embedded bits.
-func (w *Mark) Signature() []byte { return append([]byte(nil), w.signature...) }
-
 // regularize adds λ·∂R/∂w to the carrier tensor's gradient, where
 // R = BCE(σ(X·w), signature), and returns R.
 func (w *Mark) regularize(p *nn.Param) float64 {

@@ -134,3 +134,6 @@ func TestBitErrorRateBounds(t *testing.T) {
 		t.Fatal("length mismatch must read as BER 1")
 	}
 }
+
+// Signature returns a copy of the embedded bits.
+func (w *Mark) Signature() []byte { return append([]byte(nil), w.signature...) }

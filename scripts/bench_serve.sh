@@ -5,9 +5,9 @@
 # registry at batch 8, the cold-compile latency an evicted CNN1 or
 # ResNet-18 x0.25 tenant pays on its next hit together with that tenant's
 # resident accelerator bytes (one program plus one state per shard), and
-# the hot-swap numbers — Deploy latency, worst single-request stall across
-# swaps (blackout), and the failed-request count, whose acceptance target
-# is exactly 0. The file records the CPU count and benchtime it was
+# the hot-swap numbers — Deploy latency, the median over deploys of the
+# worst request stall overlapping each deploy (blackout), and the
+# failed-request count, whose acceptance target is exactly 0. The file records the CPU count and benchtime it was
 # measured with.
 #
 # BENCHTIME=2s scripts/bench_serve.sh   # longer runs for stable numbers
@@ -47,7 +47,7 @@ function metric(name,    i) {
 }
 /^BenchmarkRegistrySwapBlackout/ {
 	deploy_ns = $3
-	blackout_ns = metric("blackout-ns")
+	blackout_med_ns = metric("blackout-med-ns")
 	failed = metric("failed-req")
 }
 END {
@@ -72,7 +72,7 @@ END {
 	printf "    },\n"
 	printf "    \"hot_swap\": {\n"
 	printf "      \"deploy_ns\": %s,\n", deploy_ns
-	printf "      \"blackout_ns\": %s,\n", blackout_ns
+	printf "      \"blackout_med_ns\": %s,\n", blackout_med_ns
 	printf "      \"failed_requests\": %s\n", failed
 	printf "    }\n"
 	printf "  }\n}\n"
