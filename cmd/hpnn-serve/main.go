@@ -1,8 +1,9 @@
 // hpnn-serve runs published HPNN models as a network inference service on
 // the simulated trusted hardware: a TCP listener feeding the multi-tenant
-// serving registry, which routes each request to its model's tenant — a
-// micro-batcher over per-shard locked accelerators, compiled lazily and
-// sealed, evicted LRU under the workspace-memory budget.
+// serving registry, which routes each request to its model's tenant —
+// worker shards, each a locked accelerator, that take batches from one
+// bounded request queue; compiled lazily and sealed, evicted LRU under the
+// workspace-memory budget.
 //
 // Two modes share one serving stack:
 //
@@ -67,7 +68,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7077", "TCP listen address")
 		shards    = flag.Int("shards", 0, "worker shards per tenant, each with a private accelerator (0 = auto)")
 		maxBatch  = flag.Int("max-batch", 0, "largest coalesced batch (0 = default 8)")
-		maxWait   = flag.Duration("max-wait", 0, "batcher window after the first request (0 = default 200µs)")
 		queue     = flag.Int("queue", 0, "bounded request-queue depth per tenant (0 = auto)")
 		bits      = flag.Int("bits", 0, "datapath quantization width 2-8 (0 = native 8)")
 	)
@@ -121,7 +121,7 @@ func main() {
 	acfg.Bits = *bits
 	reg := hpnn.NewModelRegistry(acfg, hpnn.RegistryConfig{
 		Tenant: hpnn.ServeConfig{
-			Shards: *shards, MaxBatch: *maxBatch, MaxWait: *maxWait, QueueDepth: *queue,
+			Shards: *shards, MaxBatch: *maxBatch, QueueDepth: *queue,
 		},
 		MaxWorkspaceBytes: *memBudget,
 		DefaultModel:      *defModel,

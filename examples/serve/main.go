@@ -38,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 8 concurrent clients, 8 samples each, through the micro-batcher.
+	// 8 concurrent clients, 8 samples each, through the request queue.
 	feat := 16 * 16
 	var wg sync.WaitGroup
 	correct := make([]int, 8)

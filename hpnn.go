@@ -96,10 +96,11 @@ type (
 	AttackResult = attack.Result
 
 	// InferenceServer is the concurrent batched serving layer over the
-	// locked TPU path: a micro-batcher feeding per-shard accelerators.
+	// locked TPU path: per-shard accelerators that take batches from one
+	// bounded request queue the moment they are idle.
 	InferenceServer = serve.Server
-	// ServeConfig tunes the batching service (shards, batch size, window,
-	// queue depth); the zero value selects defaults.
+	// ServeConfig tunes the batching service (shards, batch size, queue
+	// depth, lock scheme); the zero value selects defaults.
 	ServeConfig = serve.Config
 	// ServeStats is a snapshot of serving counters and latency percentiles.
 	ServeStats = serve.Stats

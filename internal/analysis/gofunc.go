@@ -8,7 +8,7 @@ import (
 // runGoFunc confines raw `go` statements to the packages that own the repo's
 // two sanctioned concurrency surfaces: the tensor worker pool (persistent
 // workers, allocation-free dispatch, deterministic partitioning) and the
-// serving layer (batcher and shard goroutines with managed lifecycles).
+// serving layer (shard goroutines with managed lifecycles).
 // Everywhere else an ad-hoc goroutine bypasses SetMaxWorkers, evades the
 // pool's determinism guarantees, and has no drain path — route the work
 // through ParallelCtx/ParallelKernel instead, or suppress with

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"hpnn/internal/core"
 	"hpnn/internal/lockscheme"
@@ -14,8 +13,9 @@ import (
 // TestServeSteadyStateAllocs pins the per-request allocation count of a
 // warmed shard. The execution engine is zero-allocation per sample (the
 // sealed workspace panics otherwise) and the serving layer recycles
-// requests and batch slices through pools, so a warmed server must answer
-// sequential requests without allocating. The small slack absorbs pool
+// requests through a pool into a fixed-capacity queue, so a warmed server
+// must answer sequential requests without allocating. The small slack
+// absorbs pool
 // refills after an unlucky GC, not a regression: if this number creeps up,
 // a buffer stopped being reused somewhere on the request path.
 func TestServeSteadyStateAllocs(t *testing.T) {
@@ -23,12 +23,12 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		t.Skip("race-instrumented runtime allocates on channel operations")
 	}
 	f := newFixture(t, core.CNN1, 16, 2, 180)
-	s := f.server(t, Config{Shards: 1, MaxBatch: 1, MaxWait: 50 * time.Microsecond, QueueDepth: 16})
+	s := f.server(t, Config{Shards: 1, MaxBatch: 1, QueueDepth: 16})
 	defer s.Close()
 
 	ctx := context.Background()
 	x := f.sample(0)
-	// Warm the request/batch pools past any first-use growth.
+	// Warm the request pool past any first-use growth.
 	for i := 0; i < 32; i++ {
 		if _, err := s.Predict(ctx, x); err != nil {
 			t.Fatal(err)
@@ -40,8 +40,8 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// AllocsPerRun counts process-wide mallocs, so the batcher and worker
-	// goroutines are included — exactly what this regression test wants.
+	// AllocsPerRun counts process-wide mallocs, so the shard goroutine is
+	// included — exactly what this regression test wants.
 	const maxAllocs = 1.0
 	if avg > maxAllocs {
 		t.Fatalf("steady-state Predict averaged %.2f allocs/request, want <= %.1f", avg, maxAllocs)

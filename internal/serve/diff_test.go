@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"hpnn/internal/core"
 	"hpnn/internal/dataset"
@@ -19,12 +18,12 @@ import (
 
 // TestServeDifferentialRandomModels is the property-style half of the
 // differential harness: for every registered lock scheme and a spread of
-// architectures, every class served through the batcher must equal the
+// architectures, every class served through the shards must equal the
 // accelerator bit-for-bit, against two oracles — the golden MMU path
 // (tpu.PredictSample) and one whole-input call on the GEMM tier
 // (tpu.Predict). The quantized path is fully
-// deterministic, so any divergence — however the batcher slices the
-// traffic into partial batches across shards — is a bug, not noise. Run
+// deterministic, so any divergence — however the shards slice the
+// traffic into partial batches — is a bug, not noise. Run
 // under -race.
 func TestServeDifferentialRandomModels(t *testing.T) {
 	cases := []struct {
@@ -59,7 +58,7 @@ func TestServeDifferentialRandomModels(t *testing.T) {
 			for _, o := range oracles {
 				t.Run(fmt.Sprintf("%s/%v-%d/%s", schemeName, tc.arch, tc.hw, o.name), func(t *testing.T) {
 					s := f.server(t, Config{
-						Shards: 3, MaxBatch: 4, MaxWait: 100 * time.Microsecond, QueueDepth: 256,
+						Shards: 3, MaxBatch: 4, QueueDepth: 256,
 					})
 					defer s.Close()
 
@@ -93,7 +92,7 @@ func TestServeDifferentialRandomModels(t *testing.T) {
 }
 
 // TestServeDifferentialTrainedModel is the end-to-end half: a trained
-// locked CNN1 served through the batcher must (a) agree bit-for-bit with
+// locked CNN1 served through the shards must (a) agree bit-for-bit with
 // the golden PredictSample path on every test sample and (b) stay
 // within quantization tolerance of the float core path — the same bound
 // the accelerator itself is held to in internal/tpu.
@@ -125,7 +124,7 @@ func TestServeDifferentialTrainedModel(t *testing.T) {
 	want := goldenPredict(t, ref, m, ds.TestX)
 
 	s, err := New(m, tpu.DefaultConfig(), dev, sched, Config{
-		Shards: 2, MaxBatch: 8, MaxWait: 100 * time.Microsecond, QueueDepth: 1024,
+		Shards: 2, MaxBatch: 8, QueueDepth: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 package serve
 
 // Multi-tenant model-zoo serving: a Registry routes requests by model ID to
-// per-model tenants, each the full single-model serving stack (micro-batcher
-// + per-shard compiled/sealed accelerators) built lazily from a serialized
-// model blob. This is the deployment story of the paper at fleet scale: many
+// per-model tenants, each the full single-model serving stack (a request
+// queue + per-shard compiled/sealed accelerators) built lazily from a
+// serialized model blob. This is the deployment story of the paper at fleet scale: many
 // obfuscated models published through the zoo, each usable only with its own
 // device-resident key, all served from one process.
 //
@@ -56,7 +56,7 @@ const routeAttempts = 8
 // with default per-tenant settings and no memory budget.
 type RegistryConfig struct {
 	// Tenant is the serving configuration every tenant's Server is built
-	// with (shards, batch size, window, queue depth).
+	// with (shards, batch size, queue depth).
 	Tenant Config
 	// MaxWorkspaceBytes bounds the summed accelerator memory of resident
 	// tenants — each tenant's compiled program (weight codes, biases, a

@@ -22,7 +22,6 @@ func benchRegistryConfig() RegistryConfig {
 	return RegistryConfig{Tenant: Config{
 		Shards:     runtime.GOMAXPROCS(0),
 		MaxBatch:   8,
-		MaxWait:    200 * time.Microsecond,
 		QueueDepth: 1024,
 	}}
 }

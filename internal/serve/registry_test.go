@@ -33,7 +33,7 @@ func blobFor(t testing.TB, m *core.Model) []byte {
 // registryConfig is the test default: small shards, generous queue.
 func registryConfig() RegistryConfig {
 	return RegistryConfig{Tenant: Config{
-		Shards: 2, MaxBatch: 8, MaxWait: 100 * time.Microsecond, QueueDepth: 4096,
+		Shards: 2, MaxBatch: 8, QueueDepth: 4096,
 	}}
 }
 

@@ -1,15 +1,17 @@
 // Package serve is the deployment layer of the reproduction: a concurrent
 // batched inference service over the hardware-locked TPU path. The paper's
 // trusted accelerator serves authorized end-users; this package makes that
-// story operational — many clients issue Predict calls, a deadline-based
-// micro-batcher coalesces them, and N worker shards execute them on the
-// simulated locked hardware.
+// story operational — many clients issue Predict calls, and N worker
+// shards take them from one bounded queue in batches and execute them on
+// the simulated locked hardware.
 //
 // Topology and ownership:
 //
-//   - One batcher goroutine drains a bounded request queue, coalescing up
-//     to MaxBatch requests or waiting at most MaxWait after the first —
-//     whichever comes first — before handing the batch to the shards.
+//   - Admitted requests wait in one bounded FIFO queue guarded by the
+//     server's mutex. An idle shard sleeps on a condition variable; an
+//     admission wakes it, and it takes everything queued, up to MaxBatch.
+//     A lone request therefore runs at once, and requests that queue while
+//     every shard is busy leave together in the next batch.
 //   - The tenant's model compiles once into a read-only tpu.Program:
 //     folded weights, their int8 and widened codes, the lock column
 //     assignments, and a weight-space scheme's unlocked clone. Each of the
@@ -21,12 +23,14 @@
 //     program's shapes and sealed before any inference runs.
 //   - Results return over a per-request buffered channel; callers select
 //     on it against their context, so cancellation never blocks a shard.
-//     A per-request claim decides whether the shard or a cancelled caller
-//     owns the sample, so no shard reads it after Predict returns.
+//     A cancelled caller withdraws its request from the queue if no shard
+//     has taken it yet, which frees the slot at once; the mutex decides
+//     which of the two owns the sample, so no shard reads it after Predict
+//     returns.
 //
-// Backpressure is a bounded queue: when it is full, Predict fails fast
+// Backpressure is the bounded queue: when it is full, Predict fails fast
 // with ErrOverloaded rather than queueing unbounded work. Close drains
-// every accepted request through the shards before returning.
+// every admitted request through the shards before returning.
 package serve
 
 import (
@@ -67,23 +71,22 @@ type Config struct {
 	// Shards is the number of worker shards, each owning a private
 	// compiled accelerator. Default: GOMAXPROCS, capped at 8.
 	Shards int
-	// MaxBatch is the largest number of requests coalesced into one
-	// dispatch. Default 8.
+	// MaxBatch is the largest number of queued requests one shard takes
+	// for one dispatch. Default 8.
 	MaxBatch int
-	// MaxWait bounds how long the batcher holds an underfull batch after
-	// its first request arrives. Default 200µs.
-	MaxWait time.Duration
-	// QueueDepth bounds the pending-request queue; a full queue makes
-	// Predict fail with ErrOverloaded. Default 4·MaxBatch·Shards.
+	// QueueDepth bounds the admitted requests no shard has taken yet; a
+	// full queue makes Predict fail with ErrOverloaded. Default
+	// 4·MaxBatch·Shards.
 	QueueDepth int
 	// Scheme selects the lock-scheme backend the shards lower (see package
 	// lockscheme). Empty selects the model's own scheme stamp, so sealed
 	// plans always carry the scheme the model was published under.
 	Scheme string
 
-	// testBatchHook, when set, runs on the worker goroutine before each
-	// dispatched batch. Tests use it to stall the pipeline deterministically
-	// (e.g. to force overload); never set in production.
+	// testBatchHook, when set, runs on a shard after it takes a batch from
+	// the queue and before it runs it. Tests use it to park shards
+	// deterministically (e.g. to hold requests in the queue); never set in
+	// production.
 	testBatchHook func()
 }
 
@@ -96,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 200 * time.Microsecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch * c.Shards
@@ -113,27 +113,13 @@ type response struct {
 }
 
 // request is one in-flight Predict call. The done channel is buffered so a
-// shard can always complete a request without blocking, even when the
-// caller has already abandoned it via context cancellation.
-//
-// claim decides who owns data once the request is queued: a shard moves
-// it from claimQueued to claimRunning before it reads data, a cancelled
-// caller moves it from claimQueued to claimAbandoned before it returns.
-// Exactly one of them wins, so a shard never reads the sample of a caller
-// that has already returned.
+// shard completes a request without waiting for its caller.
 type request struct {
 	ctx   context.Context
 	data  []float64 // the sample's backing values, valid until completion
 	start time.Time
 	done  chan response
-	claim atomic.Int32
 }
-
-const (
-	claimQueued int32 = iota
-	claimRunning
-	claimAbandoned
-)
 
 // shard is one worker's private execution state: an accelerator bound to
 // the server's program (its state: output buffers, scratch, sign masks,
@@ -142,7 +128,7 @@ const (
 type shard struct {
 	acc   *tpu.Accelerator
 	view  tensor.Tensor
-	live  []*request // requests gathered into the current dispatch
+	live  []*request // [MaxBatch] requests taken for the current dispatch
 	batch []float64  // [MaxBatch·feat] contiguous sample gather buffer
 	preds []int      // [MaxBatch] per-dispatch predictions
 }
@@ -158,17 +144,18 @@ type Server struct {
 	h, w  int
 	feat  int
 
-	mu     sync.RWMutex // guards closed against concurrent sends on in
+	// mu guards queue and closed. Admission, a shard's take and a
+	// cancelled caller's withdrawal all hold it, so a queued request
+	// belongs to exactly one of a shard and its caller.
+	mu     sync.Mutex
+	ready  sync.Cond  // on mu: a request was admitted, or the server closed
+	queue  []*request // admitted, not yet taken, in arrival order; cap QueueDepth
 	closed bool
-
-	in      chan *request
-	batches chan []*request
-	wg      sync.WaitGroup
+	wg     sync.WaitGroup // the shards
 
 	shards []*shard
 
-	reqPool   sync.Pool
-	batchPool sync.Pool
+	reqPool sync.Pool
 
 	stats statsRec
 }
@@ -199,15 +186,11 @@ func New(m *core.Model, acfg tpu.Config, dev *keys.Device, sched *schedule.Sched
 		model: m,
 		prog:  prog,
 		c:     m.Config.InC, h: m.Config.InH, w: m.Config.InW,
-		feat:    m.Config.InC * m.Config.InH * m.Config.InW,
-		in:      make(chan *request, cfg.QueueDepth),
-		batches: make(chan []*request, cfg.Shards),
+		feat:  m.Config.InC * m.Config.InH * m.Config.InW,
+		queue: make([]*request, 0, cfg.QueueDepth),
 	}
+	s.ready.L = &s.mu
 	s.reqPool.New = func() any { return &request{done: make(chan response, 1)} }
-	s.batchPool.New = func() any {
-		b := make([]*request, 0, cfg.MaxBatch)
-		return &b
-	}
 	for i := 0; i < cfg.Shards; i++ {
 		acc, err := tpu.NewAcceleratorFor(scheme, acfg, dev, sched)
 		if err == nil {
@@ -225,8 +208,6 @@ func New(m *core.Model, acfg tpu.Config, dev *keys.Device, sched *schedule.Sched
 			preds: make([]int, cfg.MaxBatch),
 		})
 	}
-	s.wg.Add(1)
-	go s.batchLoop()
 	for _, sh := range s.shards {
 		s.wg.Add(1)
 		go s.workerLoop(sh)
@@ -242,22 +223,43 @@ func (s *Server) checkSample(x *tensor.Tensor) error {
 	return nil
 }
 
-// enqueue hands a request to the batcher, failing fast when the server is
-// closed or the bounded queue is full. The read-lock pairs with Close's
-// write-lock so a send never races the channel close.
-func (s *Server) enqueue(req *request) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// enqueue admits reqs in order under one lock, as many as the bounded
+// queue has room for, and wakes an idle shard. n is the number admitted;
+// the error is ErrClosed after Close, or ErrOverloaded when some of reqs
+// did not fit.
+func (s *Server) enqueue(reqs ...*request) (n int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	select {
-	case s.in <- req:
-		return nil
-	default:
-		s.stats.overloaded.Add(1)
-		return ErrOverloaded
+	n = min(len(reqs), s.cfg.QueueDepth-len(s.queue))
+	if n > 0 {
+		s.queue = append(s.queue, reqs[:n]...)
+		s.ready.Signal()
 	}
+	if n < len(reqs) {
+		s.stats.overloaded.Add(uint64(len(reqs) - n))
+		return n, ErrOverloaded
+	}
+	return n, nil
+}
+
+// withdraw takes req back out of the queue if no shard has taken it yet,
+// and reports whether it did.
+func (s *Server) withdraw(req *request) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, q := range s.queue {
+		if q == req {
+			last := len(s.queue) - 1
+			copy(s.queue[i:], s.queue[i+1:])
+			s.queue[last] = nil
+			s.queue = s.queue[:last]
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) getReq(ctx context.Context, data []float64) *request {
@@ -265,14 +267,11 @@ func (s *Server) getReq(ctx context.Context, data []float64) *request {
 	req.ctx = ctx
 	req.data = data
 	req.start = time.Now()
-	req.claim.Store(claimQueued)
 	return req
 }
 
-// putReq recycles a request whose response has been consumed (or that was
-// never enqueued). Abandoned in-flight requests must NOT be recycled: the
-// shard's eventual completion lands in the buffered channel, and reuse
-// would deliver that stale response to an unrelated caller.
+// putReq recycles a request that no shard holds: answered, withdrawn, or
+// never admitted.
 func (s *Server) putReq(req *request) {
 	req.ctx, req.data = nil, nil
 	s.reqPool.Put(req)
@@ -289,66 +288,58 @@ func (s *Server) Predict(ctx context.Context, x *tensor.Tensor) (int, error) {
 		return -1, err
 	}
 	req := s.getReq(ctx, x.Data)
-	if err := s.enqueue(req); err != nil {
+	if _, err := s.enqueue(req); err != nil {
 		s.putReq(req)
 		return -1, err
 	}
-	r, ok := s.await(ctx, req)
-	if !ok {
-		return -1, ctx.Err()
-	}
+	r := s.await(ctx, req)
 	if r.err != nil {
 		return -1, r.err
 	}
 	return r.class, nil
 }
 
-// await waits for req's response. When ctx ends first and no shard has
-// claimed the request, the caller abandons it (ok false): the shard will
-// complete it into the buffered channel without reading data, and the
-// request object is left to the garbage collector (see putReq). When a
-// shard has already claimed it, the shard may be reading data, so await
-// waits for its answer — at most one batch. Either way no shard touches
-// req.data once await returns. Answered requests are recycled.
-func (s *Server) await(ctx context.Context, req *request) (r response, ok bool) {
+// await waits for req's response and recycles req. When ctx ends first
+// and req is still queued, the caller withdraws it and the response is
+// ctx's error: no shard ever saw it. When a shard has already taken it,
+// the shard may be reading data, so await waits for its answer — at most
+// one batch. Either way no shard touches req.data once await returns.
+func (s *Server) await(ctx context.Context, req *request) (r response) {
 	select {
 	case r = <-req.done:
 	case <-ctx.Done():
-		if req.claim.CompareAndSwap(claimQueued, claimAbandoned) {
-			return response{}, false
+		if s.withdraw(req) {
+			s.stats.canceled.Add(1)
+			r = response{err: ctx.Err()}
+		} else {
+			r = <-req.done
 		}
-		r = <-req.done
 	}
 	s.putReq(req)
-	return r, true
+	return r
 }
 
-// PredictBatch classifies a batch x ([N, C, H, W]) by submitting every
-// sample through the micro-batcher and gathering the results in order. On
-// any per-sample failure (overload, cancellation) the first error is
-// returned; samples already enqueued still drain through the shards.
+// PredictBatch classifies a batch x ([N, C, H, W]) and returns the classes
+// in order. The whole batch is admitted under one lock, so on an idle
+// server it leaves in batches of MaxBatch; a batch larger than the free
+// queue is admitted in part and fails with ErrOverloaded. On any
+// per-sample failure (overload, cancellation) the first error is returned;
+// admitted samples still drain through the shards.
 func (s *Server) PredictBatch(ctx context.Context, x *tensor.Tensor) ([]int, error) {
 	if len(x.Shape) != 4 || x.Shape[1] != s.c || x.Shape[2] != s.h || x.Shape[3] != s.w {
 		return nil, fmt.Errorf("serve: batch shape %v, want [N %d %d %d]", x.Shape, s.c, s.h, s.w)
 	}
-	n := x.Shape[0]
-	reqs := make([]*request, 0, n)
-	var firstErr error
-	for i := 0; i < n; i++ {
-		req := s.getReq(ctx, x.Data[i*s.feat:(i+1)*s.feat])
-		if err := s.enqueue(req); err != nil {
-			s.putReq(req)
-			firstErr = err
-			break
-		}
-		reqs = append(reqs, req)
+	reqs := make([]*request, x.Shape[0])
+	for i := range reqs {
+		reqs[i] = s.getReq(ctx, x.Data[i*s.feat:(i+1)*s.feat])
 	}
-	out := make([]int, len(reqs))
-	for i, req := range reqs {
-		r, ok := s.await(ctx, req)
-		if !ok {
-			r.err = ctx.Err()
-		}
+	n, firstErr := s.enqueue(reqs...)
+	for _, req := range reqs[n:] {
+		s.putReq(req)
+	}
+	out := make([]int, n)
+	for i, req := range reqs[:n] {
+		r := s.await(ctx, req)
 		out[i] = r.class
 		if r.err != nil && firstErr == nil {
 			firstErr = r.err
@@ -360,116 +351,68 @@ func (s *Server) PredictBatch(ctx context.Context, x *tensor.Tensor) ([]int, err
 	return out, nil
 }
 
-// batchLoop is the micro-batcher: it blocks for the first request of a
-// batch, then coalesces follow-ups until MaxBatch is reached or MaxWait
-// has elapsed, whichever is first, and hands the batch to the shards.
-func (s *Server) batchLoop() {
-	defer s.wg.Done()
-	defer close(s.batches)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerLive := false
-	var cur []*request
-	stopTimer := func() {
-		if timerLive && !timer.Stop() {
-			<-timer.C
-		}
-		timerLive = false
-	}
-	flush := func() {
-		if len(cur) > 0 {
-			s.stats.batches.Add(1)
-			s.stats.batched.Add(uint64(len(cur)))
-			s.batches <- cur
-			cur = nil
-		}
-	}
-	for {
-		if cur == nil {
-			req, ok := <-s.in
-			if !ok {
-				return
-			}
-			if err := req.ctx.Err(); err != nil {
-				s.finish(req, -1, err)
-				continue
-			}
-			cur = append((*s.batchPool.Get().(*[]*request))[:0], req)
-			if len(cur) >= s.cfg.MaxBatch {
-				flush()
-				continue
-			}
-			timer.Reset(s.cfg.MaxWait)
-			timerLive = true
-			continue
-		}
-		select {
-		case req, ok := <-s.in:
-			if !ok {
-				stopTimer()
-				flush()
-				return
-			}
-			if err := req.ctx.Err(); err != nil {
-				s.finish(req, -1, err)
-				continue
-			}
-			cur = append(cur, req)
-			if len(cur) >= s.cfg.MaxBatch {
-				stopTimer()
-				flush()
-			}
-		case <-timer.C:
-			timerLive = false
-			flush()
-		}
-	}
-}
-
-// workerLoop executes dispatched batches on one shard. Requests whose
-// context died while queued, or whose caller already abandoned them, are
-// completed with the context error without touching the hardware or their
-// data; the survivors are claimed, gathered into the shard's contiguous
-// buffer and run as one call on the int8 tier.
+// workerLoop runs one shard: it sleeps until requests are queued, takes up
+// to MaxBatch of them in arrival order, wakes another shard if more
+// remain, and runs its batch outside the lock. It returns once the server
+// is closed and the queue has drained.
 func (s *Server) workerLoop(sh *shard) {
 	defer s.wg.Done()
-	for b := range s.batches {
+	for {
+		s.mu.Lock()
+		for len(s.queue) == 0 && !s.closed {
+			s.ready.Wait()
+		}
+		k := copy(sh.live, s.queue)
+		rest := copy(s.queue, s.queue[k:])
+		clear(s.queue[rest:])
+		s.queue = s.queue[:rest]
+		if rest > 0 {
+			s.ready.Signal()
+		}
+		s.mu.Unlock()
+		if k == 0 {
+			return
+		}
 		if s.cfg.testBatchHook != nil {
 			s.cfg.testBatchHook()
 		}
-		k := 0
-		for _, req := range b {
-			// A failed claim means the caller abandoned the request after
-			// its context ended, so ctx.Err is non-nil on both branches.
-			if req.ctx.Err() != nil || !req.claim.CompareAndSwap(claimQueued, claimRunning) {
-				s.finish(req, -1, req.ctx.Err())
-				continue
-			}
-			copy(sh.batch[k*s.feat:(k+1)*s.feat], req.data)
-			sh.live[k] = req
-			k++
-		}
-		if k > 0 {
-			x := tensor.ViewInto(&sh.view, sh.batch[:k*s.feat], k, s.c, s.h, s.w)
-			err := sh.acc.PredictBatchInto(sh.preds[:k], s.model, x)
-			for i := 0; i < k; i++ {
-				if err != nil {
-					s.finish(sh.live[i], -1, err)
-				} else {
-					s.finish(sh.live[i], sh.preds[i], nil)
-				}
-				sh.live[i] = nil
-			}
-		}
-		b = b[:0]
-		s.batchPool.Put(&b)
+		s.dispatch(sh, sh.live[:k])
 	}
 }
 
+// dispatch runs the requests one shard took. Those whose context died
+// while queued are completed with the context error without touching the
+// hardware or their data; the rest are gathered into the shard's
+// contiguous buffer and run as one call on the GEMM tier.
+func (s *Server) dispatch(sh *shard, taken []*request) {
+	k := 0
+	for _, req := range taken {
+		if err := req.ctx.Err(); err != nil {
+			s.finish(req, -1, err)
+			continue
+		}
+		copy(sh.batch[k*s.feat:(k+1)*s.feat], req.data)
+		taken[k] = req
+		k++
+	}
+	if k > 0 {
+		s.stats.batches.Add(1)
+		s.stats.batched.Add(uint64(k))
+		x := tensor.ViewInto(&sh.view, sh.batch[:k*s.feat], k, s.c, s.h, s.w)
+		err := sh.acc.PredictBatchInto(sh.preds[:k], s.model, x)
+		for i, req := range taken[:k] {
+			if err != nil {
+				s.finish(req, -1, err)
+			} else {
+				s.finish(req, sh.preds[i], nil)
+			}
+		}
+	}
+	clear(taken)
+}
+
 // finish records the outcome and completes the request. The buffered done
-// channel makes the send non-blocking even for abandoned requests.
+// channel makes the send non-blocking.
 func (s *Server) finish(req *request, class int, err error) {
 	switch {
 	case err == nil:
@@ -483,15 +426,13 @@ func (s *Server) finish(req *request, class int, err error) {
 	req.done <- response{class: class, err: err}
 }
 
-// Close stops accepting new requests, drains every already-accepted
-// request through the shards, waits for the batcher and workers to exit
-// and returns the final statistics. Close is idempotent.
+// Close stops admitting requests, lets the shards drain every admitted
+// request, waits for them to exit and returns the final statistics. Close
+// is idempotent.
 func (s *Server) Close() Stats {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.in)
-	}
+	s.closed = true
+	s.ready.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
 	return s.Stats()
@@ -563,8 +504,8 @@ type Stats struct {
 	// hardware/validation failures; Canceled counts requests whose context
 	// died while queued or in flight; Overloaded counts shed requests.
 	Completed, Errors, Canceled, Overloaded uint64
-	// Batches is the number of dispatched micro-batches and MeanBatch the
-	// average coalesced size.
+	// Batches is the number of batches the shards ran on the hardware and
+	// MeanBatch the average number of requests in one.
 	Batches   uint64
 	MeanBatch float64
 	// Latency percentiles over the most recent completed requests

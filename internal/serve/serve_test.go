@@ -138,14 +138,14 @@ func TestServeRejectsBadShape(t *testing.T) {
 	}
 }
 
-// TestServeHammer drives the batcher from 32 goroutines with mixed
+// TestServeHammer drives the server from 32 goroutines with mixed
 // single-sample and batch submissions plus mid-flight cancellations, and
 // asserts every request is answered exactly once with the reference class.
 // Run under -race (scripts/check.sh runs it -count=3).
 func TestServeHammer(t *testing.T) {
 	const n = 16
 	f := newFixture(t, core.MLP, 8, n, 120)
-	s := f.server(t, Config{Shards: 4, MaxBatch: 8, MaxWait: 100 * time.Microsecond, QueueDepth: 4096})
+	s := f.server(t, Config{Shards: 4, MaxBatch: 8, QueueDepth: 4096})
 	defer s.Close()
 
 	const goroutines = 32
@@ -217,17 +217,13 @@ func TestServeHammer(t *testing.T) {
 	if st.Overloaded != 0 {
 		t.Fatalf("queue sized for the load yet %d requests shed", st.Overloaded)
 	}
-	// Every submission got exactly one outcome; the server's own counters
-	// must agree with the client-side tally (completed answers the server
-	// recorded for abandoned requests are counted in st.Completed but not in
-	// answered, so the server total can only exceed the client tally by the
-	// number of cancellations).
-	if st.Completed < answered.Load() {
-		t.Fatalf("server completed %d < client-observed %d", st.Completed, answered.Load())
-	}
-	if st.Completed+st.Canceled < answered.Load()+canceled.Load() {
-		t.Fatalf("server outcomes %d+%d lost requests (client saw %d+%d)",
-			st.Completed, st.Canceled, answered.Load(), canceled.Load())
+	// Every submission got exactly one outcome, and the server counted the
+	// same one: a cancelled caller either withdrew its request (canceled)
+	// or waited for the shard's answer (completed, or canceled when the
+	// shard found the context dead).
+	if st.Completed != answered.Load() || st.Canceled != canceled.Load() || st.Errors != 0 {
+		t.Fatalf("server counted %d completed, %d canceled, %d errors; clients saw %d answered, %d canceled",
+			st.Completed, st.Canceled, st.Errors, answered.Load(), canceled.Load())
 	}
 }
 
@@ -237,7 +233,7 @@ func TestServeHammer(t *testing.T) {
 func TestServeCloseDuringLoad(t *testing.T) {
 	const n = 8
 	f := newFixture(t, core.MLP, 8, n, 130)
-	s := f.server(t, Config{Shards: 2, MaxBatch: 4, MaxWait: 50 * time.Microsecond, QueueDepth: 1024})
+	s := f.server(t, Config{Shards: 2, MaxBatch: 4, QueueDepth: 1024})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -298,33 +294,101 @@ func TestServeCloseDuringLoad(t *testing.T) {
 	s.Close()
 }
 
-// TestServeQueuedCancellation cancels contexts of requests sitting in the
-// queue behind a held batcher window and checks they resolve with the
-// context error while later traffic still flows.
+// parkShards installs a testBatchHook that holds every shard in the hook,
+// after it takes a batch and before it runs it, until release is called.
+// taken receives once per batch taken while parked. Tests use it to make
+// "these requests sit in the queue" a fact rather than a timing guess.
+func parkShards(cfg *Config) (taken <-chan struct{}, release func()) {
+	gate := make(chan struct{})
+	ch := make(chan struct{}, 64)
+	cfg.testBatchHook = func() {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	var once sync.Once
+	return ch, func() { once.Do(func() { close(gate) }) }
+}
+
+// parkOn submits one request in the background and waits until a shard has
+// taken it and parked. The returned channel yields that request's error
+// once the shard is released.
+func parkOn(t *testing.T, s *Server, x *tensor.Tensor, taken <-chan struct{}) <-chan error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.Predict(context.Background(), x)
+		errc <- err
+	}()
+	select {
+	case <-taken:
+	case err := <-errc:
+		t.Fatalf("parking request returned early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no shard took the parking request")
+	}
+	return errc
+}
+
+// queued reports how many admitted requests no shard has taken yet.
+func (s *Server) queued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// TestServeQueuedCancellation cancels the contexts of requests sitting in
+// the queue behind a parked shard and checks that each is withdrawn — its
+// caller gets the context error and no shard runs it — while later traffic
+// still flows.
 func TestServeQueuedCancellation(t *testing.T) {
 	const n = 8
 	f := newFixture(t, core.MLP, 8, n, 140)
-	// One shard and a long MaxWait so requests linger in the batch window.
-	s := f.server(t, Config{Shards: 1, MaxBatch: 64, MaxWait: 20 * time.Millisecond, QueueDepth: 256})
+	cfg := Config{Shards: 1, MaxBatch: 64, QueueDepth: 256}
+	taken, release := parkShards(&cfg)
+	s := f.server(t, cfg)
 	defer s.Close()
+	defer release()
+	blocker := parkOn(t, s, f.sample(0), taken)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := 0; i < 8; i++ {
+	errs := make([]error, n)
+	for i := range errs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			_, errs[i] = s.Predict(ctx, f.sample(i%n))
-		}(i)
+			_, errs[i] = s.Predict(ctx, f.sample(i))
+		}()
 	}
-	time.Sleep(2 * time.Millisecond) // requests now queued or in the window
+	waitFor(t, "the requests to queue", func() bool { return s.queued() == n })
 	cancel()
 	wg.Wait()
 	for i, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("request %d: unexpected error %v", i, err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("request %d: %v, want context.Canceled", i, err)
 		}
+	}
+	if q := s.queued(); q != 0 {
+		t.Fatalf("%d cancelled requests still queued", q)
+	}
+	release()
+	if err := <-blocker; err != nil {
+		t.Fatal(err)
 	}
 	// The server keeps serving after the cancellation storm.
 	got, err := s.Predict(context.Background(), f.sample(0))
@@ -334,6 +398,45 @@ func TestServeQueuedCancellation(t *testing.T) {
 	if got != f.want[0] {
 		t.Fatalf("post-cancel class %d, want %d", got, f.want[0])
 	}
+	if st := s.Stats(); st.Canceled != n || st.Completed != 2 {
+		t.Fatalf("server counted %d canceled and %d completed, want %d and 2", st.Canceled, st.Completed, n)
+	}
+}
+
+// TestServeCancelledRequestsFreeTheirSlots: a cancelled request gives its
+// queue slot back at once. With the only shard parked, 4·QueueDepth
+// requests at the default depth are sent one at a time, each cancelled once
+// it is queued; none may be shed, though the queue holds only QueueDepth.
+func TestServeCancelledRequestsFreeTheirSlots(t *testing.T) {
+	f := newFixture(t, core.MLP, 8, 1, 145)
+	cfg := Config{Shards: 1}
+	taken, release := parkShards(&cfg)
+	s := f.server(t, cfg)
+	defer s.Close()
+	defer release()
+	blocker := parkOn(t, s, f.sample(0), taken)
+
+	total := 4 * s.cfg.QueueDepth
+	for i := 0; i < total; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, err := s.Predict(ctx, f.sample(0))
+			errc <- err
+		}()
+		waitFor(t, "the request to queue", func() bool { return s.queued() == 1 || len(errc) > 0 })
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("request %d of %d (QueueDepth %d): %v, want context.Canceled", i, total, s.cfg.QueueDepth, err)
+		}
+	}
+	release()
+	if err := <-blocker; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Overloaded != 0 || st.Canceled != uint64(total) {
+		t.Fatalf("server shed %d and canceled %d requests, want 0 and %d", st.Overloaded, st.Canceled, total)
+	}
 }
 
 // TestServeCancelledBufferReuse pins the buffer contract under
@@ -342,11 +445,12 @@ func TestServeQueuedCancellation(t *testing.T) {
 // cancel their request after a short spin and rewrite their buffer after
 // every Predict. A shard still copying the buffer is a data race, which
 // -race reports (scripts/check.sh runs it -count=3); answers that do come
-// back must still be the reference class.
+// back must still be the reference class. The queue has its default depth
+// and at most four requests are live, so none may be shed.
 func TestServeCancelledBufferReuse(t *testing.T) {
 	const goroutines = 4
 	f := newFixture(t, core.CNN1, 16, goroutines, 160)
-	s := f.server(t, Config{Shards: 2, QueueDepth: 1024})
+	s := f.server(t, Config{Shards: 2})
 	defer s.Close()
 
 	deadline := time.Now().Add(2 * time.Second)
@@ -382,10 +486,6 @@ func TestServeCancelledBufferReuse(t *testing.T) {
 					answered.Add(1)
 				case errors.Is(err, context.Canceled):
 					canceled.Add(1)
-				case errors.Is(err, ErrOverloaded):
-					// Abandoned requests still occupy the queue until the
-					// batcher drains them; back off like a client would.
-					time.Sleep(50 * time.Microsecond)
 				default:
 					t.Errorf("goroutine %d: unexpected error %v", g, err)
 					return
@@ -401,35 +501,26 @@ func TestServeCancelledBufferReuse(t *testing.T) {
 	t.Logf("%d answered, %d canceled", answered.Load(), canceled.Load())
 }
 
-// TestServeBackpressure stalls the single shard (via the test batch hook)
-// so the pipeline's total capacity is exactly known — one batch in the
-// worker, Shards batches buffered, one batch held by the blocked flush,
-// QueueDepth queued — floods past it, and requires typed overload errors
-// rather than unbounded buffering. Then it releases the shard and verifies
-// recovery. The hook makes this deterministic even on GOMAXPROCS=1, where
-// a free-running worker drains the queue faster than a flood can fill it.
+// TestServeBackpressure parks the single shard (via the test batch hook)
+// so the server's capacity is exactly known — one request taken by the
+// parked shard plus QueueDepth queued — floods past it, and requires typed
+// overload errors rather than unbounded buffering. Then it releases the
+// shard and verifies recovery. The hook makes this deterministic even on
+// GOMAXPROCS=1, where a free-running shard drains the queue faster than a
+// flood can fill it.
 func TestServeBackpressure(t *testing.T) {
 	const n = 4
 	f := newFixture(t, core.MLP, 8, n, 150)
 
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	cfg := Config{Shards: 1, MaxBatch: 1, MaxWait: 50 * time.Microsecond, QueueDepth: 1}
-	cfg.testBatchHook = func() {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-gate
-	}
+	cfg := Config{Shards: 1, MaxBatch: 1, QueueDepth: 1}
+	taken, release := parkShards(&cfg)
 	s := f.server(t, cfg)
 	defer s.Close()
+	defer release()
 
-	// With MaxBatch=1 every request is its own batch, so while the worker is
-	// parked in the hook the pipeline holds at most: 1 (in the worker) +
-	// 1 (batches buffer, cap=Shards) + 1 (batcher's flush blocked mid-send) +
-	// 1 (queue, cap=QueueDepth) = 4 requests. Everything beyond must shed.
-	const capacity = 4
+	// While the shard is parked the server holds 1 request (taken by the
+	// shard) + 1 (queue, cap=QueueDepth) = 2. Everything beyond must shed.
+	const capacity = 2
 	const flood = 12
 
 	var overloaded, served atomic.Uint64
@@ -452,31 +543,22 @@ func TestServeBackpressure(t *testing.T) {
 
 	submit(0)
 	select {
-	case <-entered: // the shard is now provably parked
+	case <-taken: // the shard is now provably parked
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker never picked up the first request")
 	}
 	for i := 1; i < flood; i++ {
 		submit(i)
 	}
-	// The stalled pipeline absorbs at most capacity-1 more requests, so at
-	// least flood-capacity goroutines must observe ErrOverloaded.
-	deadline := time.Now().Add(10 * time.Second)
-	for overloaded.Load() < flood-capacity {
-		if time.Now().After(deadline) {
-			t.Fatalf("stalled pipeline of capacity %d shed only %d of %d requests",
-				capacity, overloaded.Load(), flood)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	// The parked server absorbs exactly capacity-1 more requests, so
+	// flood-capacity goroutines must observe ErrOverloaded.
+	waitFor(t, "the flood to shed", func() bool { return overloaded.Load() >= flood-capacity })
 
-	close(gate) // release the shard; absorbed requests drain
+	release() // absorbed requests drain
 	wg.Wait()
-	if served.Load() == 0 {
-		t.Fatal("no request survived the flood")
-	}
-	if served.Load() > capacity {
-		t.Fatalf("pipeline of capacity %d served %d flood requests", capacity, served.Load())
+	if served.Load() != capacity || overloaded.Load() != flood-capacity {
+		t.Fatalf("server of capacity %d served %d and shed %d of %d requests",
+			capacity, served.Load(), overloaded.Load(), flood)
 	}
 	if got := s.Stats().Overloaded; got != overloaded.Load() {
 		t.Fatalf("server counted %d shed requests, clients saw %d", got, overloaded.Load())
@@ -487,34 +569,59 @@ func TestServeBackpressure(t *testing.T) {
 	}
 }
 
-// TestServeBatchCoalescing checks the micro-batcher actually coalesces:
-// concurrent submissions under a generous window must produce fewer
-// dispatches than requests.
+// TestServeBatchCoalescing checks that requests which queue while every
+// shard is busy leave together. Both shards are parked on one request each,
+// 62 more queue behind them, and on release they leave as exactly 8
+// batches — 10 in all for 64 requests. A PredictBatch is admitted under one
+// lock, so on an idle server 32 samples leave as exactly 4 batches of 8.
 func TestServeBatchCoalescing(t *testing.T) {
-	const n = 16
+	const n = 32
 	f := newFixture(t, core.MLP, 8, n, 160)
-	s := f.server(t, Config{Shards: 2, MaxBatch: 8, MaxWait: 5 * time.Millisecond, QueueDepth: 1024})
+	cfg := Config{Shards: 2, MaxBatch: 8, QueueDepth: 1024}
+	taken, release := parkShards(&cfg)
+	s := f.server(t, cfg)
+	defer s.Close()
+	defer release()
+	blockers := []<-chan error{parkOn(t, s, f.sample(0), taken), parkOn(t, s, f.sample(1), taken)}
 
 	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
+	for i := 2; i < 64; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if _, err := s.Predict(context.Background(), f.sample(i%n)); err != nil {
+			got, err := s.Predict(context.Background(), f.sample(i%n))
+			if err != nil {
 				t.Errorf("predict: %v", err)
+			} else if got != f.want[i%n] {
+				t.Errorf("request %d: class %d, want %d", i, got, f.want[i%n])
 			}
-		}(i)
+		}()
 	}
+	waitFor(t, "62 requests to queue", func() bool { return s.queued() == 62 })
+	release()
 	wg.Wait()
+	for _, errc := range blockers {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
 	st := s.Close()
-	if st.Completed != 64 {
-		t.Fatalf("completed %d of 64", st.Completed)
+	if st.Completed != 64 || st.Batches != 10 {
+		t.Fatalf("64 requests completed %d in %d batches, want 64 in 10", st.Completed, st.Batches)
 	}
-	if st.Batches >= 64 {
-		t.Fatalf("64 requests dispatched as %d batches — no coalescing", st.Batches)
+
+	idle := f.server(t, Config{Shards: 2, MaxBatch: 8})
+	got, err := idle.PredictBatch(context.Background(), f.x)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.MeanBatch <= 1 {
-		t.Fatalf("mean batch %.2f, want > 1", st.MeanBatch)
+	for i := range got {
+		if got[i] != f.want[i] {
+			t.Fatalf("batch sample %d: class %d, want %d", i, got[i], f.want[i])
+		}
+	}
+	if st := idle.Close(); st.Batches != 4 {
+		t.Fatalf("a batch of %d on an idle 2-shard server left in %d batches, want 4", n, st.Batches)
 	}
 }
 

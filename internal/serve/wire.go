@@ -50,13 +50,12 @@ const (
 	statusRetry = 2
 )
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// writeFrame fills in the length prefix of frame, whose first 4 bytes are
+// reserved for it, and sends the frame in one Write: one syscall and, with
+// TCP_NODELAY, one segment.
+func writeFrame(w io.Writer, frame []byte) error {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -101,7 +100,8 @@ func encodeRequest(w io.Writer, version byte, model string, x *tensor.Tensor) er
 	if version == WireVersion2 {
 		head = 3 + len(model)
 	}
-	payload := make([]byte, head+4*rank+8*x.Len())
+	frame := make([]byte, 4+head+4*rank+8*x.Len())
+	payload := frame[4:]
 	payload[0] = version
 	off := 1
 	if version == WireVersion2 {
@@ -119,7 +119,7 @@ func encodeRequest(w io.Writer, version byte, model string, x *tensor.Tensor) er
 		binary.LittleEndian.PutUint64(payload[off:], math.Float64bits(v))
 		off += 8
 	}
-	return writeFrame(w, payload)
+	return writeFrame(w, frame)
 }
 
 // DecodeRequest reads one request frame (either version) and returns the
@@ -211,16 +211,17 @@ func EncodeResponse(w io.Writer, class int, err error) error {
 		if len(msg) > math.MaxUint16 {
 			msg = msg[:math.MaxUint16]
 		}
-		payload := make([]byte, 4+len(msg))
+		frame := make([]byte, 4+4+len(msg))
+		payload := frame[4:]
 		payload[0], payload[1] = WireVersion, status
 		binary.LittleEndian.PutUint16(payload[2:], uint16(len(msg)))
 		copy(payload[4:], msg)
-		return writeFrame(w, payload)
+		return writeFrame(w, frame)
 	}
-	var payload [6]byte
-	payload[0], payload[1] = WireVersion, statusOK
-	binary.LittleEndian.PutUint32(payload[2:], uint32(class))
-	return writeFrame(w, payload[:])
+	var frame [10]byte
+	frame[4], frame[5] = WireVersion, statusOK
+	binary.LittleEndian.PutUint32(frame[6:], uint32(class))
+	return writeFrame(w, frame[:])
 }
 
 // DecodeResponse reads one response frame, returning the predicted class or

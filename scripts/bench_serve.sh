@@ -7,7 +7,10 @@
 # resident accelerator bytes (one program plus one state per shard), and
 # the hot-swap numbers — Deploy latency, the median over deploys of the
 # worst request stall overlapping each deploy (blackout), and the
-# failed-request count, whose acceptance target is exactly 0. The file records the CPU count and benchtime it was
+# failed-request count, whose acceptance target is exactly 0 — plus one
+# server's single-request rate (BenchmarkServeSerializedLoop, an MLP 8x8
+# tenant with one request in flight, so each waits for nothing but its own
+# round trip). The file records the CPU count and benchtime it was
 # measured with.
 #
 # BENCHTIME=2s scripts/bench_serve.sh   # longer runs for stable numbers
@@ -21,7 +24,7 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkRegistryMultiModel$|BenchmarkRegistryColdCompile$|BenchmarkRegistrySwapBlackout$' \
+	-bench 'BenchmarkRegistryMultiModel$|BenchmarkRegistryColdCompile$|BenchmarkRegistrySwapBlackout$|BenchmarkServeSerializedLoop$' \
 	-benchtime "$benchtime" ./internal/serve/ | tee "$tmp"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v benchtime="$benchtime" -v nproc="$nproc" '
@@ -45,6 +48,9 @@ function metric(name,    i) {
 	cold_bytes[name] = metric("tenant-bytes")
 	if (!(name in cseen)) { cseen[name] = 1; corder[++cn] = name }
 }
+/^BenchmarkServeSerializedLoop/ {
+	serialized = metric("samples/sec")
+}
 /^BenchmarkRegistrySwapBlackout/ {
 	deploy_ns = $3
 	blackout_med_ns = metric("blackout-med-ns")
@@ -57,6 +63,8 @@ END {
 	printf "  \"nproc\": %d,\n", nproc
 	printf "  \"model\": \"CNN1 16x16\",\n"
 	printf "  \"batch\": 8,\n"
+	printf "  \"serialized_model\": \"MLP 8x8\",\n"
+	printf "  \"serialized_samples_per_sec\": %s,\n", serialized
 	printf "  \"multi_tenant\": {\n"
 	printf "    \"samples_per_sec\": {\n"
 	for (i = 1; i <= mn; i++) {

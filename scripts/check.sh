@@ -1,9 +1,10 @@
 #!/bin/sh
 # Fast correctness gate for the hot compute path: static analysis plus the
 # concurrent packages under the race detector. The worker pool, the
-# buffer-reusing layers and the serving layer (batcher + worker shards)
-# are the repo's concurrent code, so this catches dispatch and
-# request-lifecycle races without paying for the full (slow) suite.
+# buffer-reusing layers and the serving layer (worker shards pulling from
+# one request queue) are the repo's concurrent code, so this catches
+# dispatch and request-lifecycle races without paying for the full (slow)
+# suite.
 set -eu
 cd "$(dirname "$0")/.."
 
