@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	hpnn-lint [-json] [-checks noalloc,seal] [-list] [packages]
+//	hpnn-lint [-json] [-checks noalloc,gofunc] [-list] [packages]
 //
 // Packages default to ./... (the whole module; the analyzer always loads
 // and type-checks the full module, the argument only filters which packages

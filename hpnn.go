@@ -100,7 +100,8 @@ type (
 	// bounded request queue the moment they are idle.
 	InferenceServer = serve.Server
 	// ServeConfig tunes the batching service (shards, batch size, queue
-	// depth, lock scheme); the zero value selects defaults.
+	// depth; the shards lower the model's own lock scheme); the zero value
+	// selects defaults.
 	ServeConfig = serve.Config
 	// ServeStats is a snapshot of serving counters and latency percentiles.
 	ServeStats = serve.Stats
@@ -313,13 +314,10 @@ func EncodeServeRequestTo(w io.Writer, model string, x *Tensor) error {
 	return serve.EncodeRequestTo(w, model, x)
 }
 
-// DecodeServeRequest reads one request frame of either protocol version;
-// it validates shape, size and value finiteness and never panics on
-// malformed input.
-func DecodeServeRequest(r io.Reader) (*Tensor, error) { return serve.DecodeRequest(r) }
-
-// DecodeServeRequestModel is DecodeServeRequest plus the model ID the
-// request routes to ("" means the default model).
+// DecodeServeRequestModel reads one request frame of either protocol
+// version and returns the sample plus the model ID the request routes to
+// ("" means the default model); it validates shape, size and value
+// finiteness and never panics on malformed input.
 func DecodeServeRequestModel(r io.Reader) (*Tensor, string, error) {
 	return serve.DecodeRequestModel(r)
 }

@@ -144,7 +144,6 @@ func Checks() []Check {
 		{Name: "determinism", Doc: "no map-order iteration in compute packages, no math/rand outside internal/rng, no wall-clock reads outside serve/train/cryptobase", Run: runDeterminism},
 		{Name: "gofunc", Doc: "raw go statements only in the tensor worker pool and the serving layer", Run: runGoFunc},
 		{Name: "errcheck", Doc: "no silently discarded error returns in cmd/*, modelio, and serve", Run: runErrcheck},
-		{Name: "seal", Doc: "no Workspace getter calls lexically after Seal() on the same receiver", Run: runSeal},
 		{Name: "unused", Doc: "every module function, method and type is reached from a main, an init, a package-level initializer or a facade export", Run: runUnused},
 		{Name: "keyflow", Doc: "interprocedural taint: key material (device secrets, lock bits, factors) must not reach fmt/log verbs, error construction, wire encoders, or file/net writes except through sanctioned choke points", Run: runKeyflow},
 	}

@@ -121,10 +121,6 @@ func TestErrcheckGolden(t *testing.T) {
 	}, "errcheck")
 }
 
-func TestSealGolden(t *testing.T) {
-	runGolden(t, "sealdata", nil, "seal")
-}
-
 // TestUnusedGolden runs unused on its own fixture only: the other fixtures
 // are libraries with no main, so most of their code is unreached by design.
 func TestUnusedGolden(t *testing.T) {

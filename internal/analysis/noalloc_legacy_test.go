@@ -140,7 +140,7 @@ func runNoAllocLegacy(prog *Program, report func(pos token.Pos, format string, a
 func TestNoAllocCallgraphParity(t *testing.T) {
 	fixtures := []string{
 		"noallocdata", "determinismdata", "gofuncdata",
-		"errcheckdata", "sealdata", "suppressdata",
+		"errcheckdata", "suppressdata",
 		"keyflowdata", "keyflowbaddata",
 	}
 	for _, fixture := range fixtures {

@@ -78,10 +78,6 @@ type Config struct {
 	// full queue makes Predict fail with ErrOverloaded. Default
 	// 4·MaxBatch·Shards.
 	QueueDepth int
-	// Scheme selects the lock-scheme backend the shards lower (see package
-	// lockscheme). Empty selects the model's own scheme stamp, so sealed
-	// plans always carry the scheme the model was published under.
-	Scheme string
 
 	// testBatchHook, when set, runs on a shard after it takes a batch from
 	// the queue and before it runs it. Tests use it to park shards
@@ -169,11 +165,7 @@ type Server struct {
 // useful for differential experiments.
 func New(m *core.Model, acfg tpu.Config, dev *keys.Device, sched *schedule.Schedule, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	schemeName := cfg.Scheme
-	if schemeName == "" {
-		schemeName = m.Scheme // sealed plans carry the model's published scheme
-	}
-	scheme, err := lockscheme.Get(schemeName)
+	scheme, err := lockscheme.Get(m.Scheme)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}

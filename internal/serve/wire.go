@@ -122,14 +122,6 @@ func encodeRequest(w io.Writer, version byte, model string, x *tensor.Tensor) er
 	return writeFrame(w, frame)
 }
 
-// DecodeRequest reads one request frame (either version) and returns the
-// sample tensor, discarding any model ID. Kept for single-model callers;
-// routing servers use DecodeRequestModel.
-func DecodeRequest(r io.Reader) (*tensor.Tensor, error) {
-	x, _, err := DecodeRequestModel(r)
-	return x, err
-}
-
 // DecodeRequestModel reads one request frame of either protocol version and
 // returns the sample tensor plus the model ID the request routes to — ""
 // for v1 frames and v2 frames with an empty ID, meaning the default model.

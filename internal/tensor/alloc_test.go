@@ -2,7 +2,7 @@ package tensor
 
 import "testing"
 
-// Allocation-regression tests for the workspace execution engine: every
+// Allocation-regression tests for the buffer-reusing kernels: every
 // *Into kernel and the worker-pool dispatch must be allocation-free once
 // buffers exist. A regression here silently reintroduces per-step garbage
 // across the whole training path, so these are hard zeroes, not thresholds.
@@ -35,19 +35,19 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 
 // TestGEMMZeroAllocSteadyState pins the packed engine itself: shapes that
 // span several kc blocks (packing scratch grows once, then recycles), the
-// serial slice-level entry points used inside conv batch workers, and the
-// arena-backed Workspace.MatVec.
+// serial slice-level entry points used inside conv batch workers, and
+// MatVecInto, the watermark regularizer's per-step product.
 func TestGEMMZeroAllocSteadyState(t *testing.T) {
 	a := benchTensor(33, 600)
 	bm := benchTensor(600, 41)
 	dst := New(33, 41)
 	sd := make([]float64, 33*41)
-	ws := NewWorkspace()
 	x := make([]float64, 600)
+	y := make([]float64, 33)
 
 	mustZeroAllocs(t, "MatMulInto multi-block", func() { MatMulInto(dst, a, bm) })
 	mustZeroAllocs(t, "MatMulSliceInto", func() { MatMulSliceInto(sd, a.Data, bm.Data, 33, 600, 41) })
-	mustZeroAllocs(t, "Workspace.MatVec", func() { ws.MatVec("y", a, x) })
+	mustZeroAllocs(t, "MatVecInto multi-block", func() { MatVecInto(y, a, x) })
 }
 
 func TestConvKernelsZeroAllocSteadyState(t *testing.T) {
@@ -76,57 +76,6 @@ func TestParallelKernelZeroAlloc(t *testing.T) {
 	args := &KernelArgs{Dst: make([]float64, 64), A: make([]float64, 64), M: 64}
 	worker := func(a *KernelArgs, i int) { a.Dst[i] = a.A[i] * 2 }
 	mustZeroAllocs(t, "ParallelKernel", func() { ParallelKernel(args.M, args, worker) })
-}
-
-func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
-	ws := NewWorkspace()
-	mustZeroAllocs(t, "Workspace.Get", func() {
-		ws.Get("a", 8, 8)
-		ws.Get("b", 4)
-	})
-}
-
-func TestWorkspaceSealEnforcesFootprint(t *testing.T) {
-	ws := NewWorkspace()
-	ws.Get("a", 8, 8)
-	ws.Get("b", 4)
-	ws.Seal()
-	if !ws.Sealed() {
-		t.Fatal("Seal did not mark the workspace sealed")
-	}
-	// Reuse and in-capacity reshapes stay legal.
-	ws.Get("a", 8, 8)
-	ws.Get("a", 4, 4)
-	ws.Get("b", 2)
-
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r == nil {
-				t.Errorf("%s: sealed workspace did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("new key", func() { ws.Get("c", 1) })
-	mustPanic("growth", func() { ws.Get("b", 1024) })
-
-	// Reset zeroes each buffer's whole capacity before dropping it, so an
-	// alias kept from before reads zeros, even past a shrinking reshape.
-	a := ws.Get("a", 8, 8)
-	a.Fill(3)
-	alias := a.Data
-	ws.Get("a", 2)
-	ws.Reset()
-	if ws.Sealed() {
-		t.Fatal("Reset did not lift the seal")
-	}
-	for i, v := range alias {
-		if v != 0 {
-			t.Fatalf("buffer entry %d = %v after Reset, want 0", i, v)
-		}
-	}
-	ws.Get("c", 16) // legal again after Reset
 }
 
 func TestEnsureShapeAlternatingBatchZeroAlloc(t *testing.T) {

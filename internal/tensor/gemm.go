@@ -28,7 +28,7 @@ import "sync"
 // bitwise identical across worker counts and across runs.
 //
 // Allocation: panel scratch lives in pooled gemmScratch arenas
-// (grow-once, reuse-forever — the same discipline as the Workspace), and
+// (grow-once, reuse-forever), and
 // all parallel dispatch goes through ParallelKernel with top-level worker
 // functions, so a steady-state call performs zero heap allocations.
 const (

@@ -64,19 +64,6 @@ func MatVecInto(y []float64, a *Tensor, x []float64) {
 	gemmRun(y, a.Data, x, m, 1, k, gemmNN, true)
 }
 
-// MatVec computes y = A·x into the workspace buffer named key, returning
-// the buffer's storage. It is the allocation-free counterpart of the
-// package-level MatVec for steady-state callers (the watermark
-// regularizer evaluates two of these per optimizer step).
-//
-//hpnn:noalloc
-func (w *Workspace) MatVec(key string, a *Tensor, x []float64) []float64 {
-	m, _ := dims2(a, "MatVec")
-	y := w.Get(key, m)
-	MatVecInto(y.Data, a, x)
-	return y.Data
-}
-
 func dims2(t *Tensor, what string) (int, int) {
 	if len(t.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: %s requires a 2-D tensor, got %v", what, t.Shape))

@@ -51,7 +51,7 @@ func TransposeInto(dst, a *Tensor) *Tensor {
 
 // MatVec computes y = A·x for A m×k and x of length k. It allocates the
 // result on every call; hot paths should use MatVecInto with caller-owned
-// storage or Workspace.MatVec with an arena-backed buffer.
+// storage.
 func MatVec(a *Tensor, x []float64) []float64 {
 	m, _ := dims2(a, "MatVec")
 	y := make([]float64, m)
@@ -135,6 +135,3 @@ func ConvDirectInto(out, img, kernels *Tensor, g ConvGeom) {
 		}
 	}
 }
-
-// Sealed reports whether the workspace has been sealed.
-func (w *Workspace) Sealed() bool { return w.sealed }

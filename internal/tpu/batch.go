@@ -60,18 +60,18 @@ type lockMask struct {
 	locked  uint64
 }
 
-// refresh rebuilds the mask if it has never been built or the device's
-// revocation state changed since it was. One Revoked probe per op per batch
-// keeps the cache honest; everything else is cached forever (key bits are
-// sealed in hardware and cannot change).
+// refresh rebuilds the mask, in s, if it has never been built or the
+// device's revocation state changed since it was. One Revoked probe per op
+// per batch keeps the cache honest; everything else is cached forever (key
+// bits are sealed in hardware and cannot change).
 //
 //hpnn:noalloc
-func (lm *lockMask) refresh(m *MMU, cols []int) {
+func (lm *lockMask) refresh(s *state, m *MMU, cols []int) {
 	rev := m.deviceRevoked()
 	if lm.built && lm.revoked == rev && len(lm.neg) == len(cols) {
 		return
 	}
-	lm.neg = tensor.EnsureInt32s(lm.neg, len(cols))
+	lm.neg = grow(s, lm.neg, len(cols))
 	lm.locked = 0
 	for i, c := range cols {
 		if m.columnBit(c) == 1 {
@@ -108,7 +108,6 @@ type macCore struct {
 	w8     []int8    // the same codes narrowed for the MMU
 	wScale float64   // W ≈ wScale·codes
 	cols   []int
-	outKey string
 	slot   int
 }
 
@@ -118,15 +117,15 @@ type macCore struct {
 // reads. It returns the op's state.
 func (c *macCore) ready(a *Accelerator, s *state, p int) *opState {
 	st := &s.ops[c.slot]
-	st.bias = tensor.EnsureInt32s(st.bias, c.m)
-	st.acc = tensor.EnsureInt32s(st.acc, c.m*p)
+	st.bias = grow(s, st.bias, c.m)
+	st.acc = grow(s, st.acc, c.m*p)
 	if c.relu {
-		st.q8 = ensureInt8s(st.q8, c.m*p)
+		st.q8 = grow(s, st.q8, c.m*p)
 	}
 	if a.onMMU {
-		st.x8 = ensureInt8s(st.x8, c.k*p)
+		st.x8 = grow(s, st.x8, c.k*p)
 	} else if c.cols != nil {
-		st.mask.refresh(a.mmu, c.cols)
+		st.mask.refresh(s, a.mmu, c.cols)
 	}
 	return st
 }
@@ -163,13 +162,4 @@ func (c *macCore) finish(a *Accelerator, st *opState, dst, x []float64, p int, i
 		a.mmu.accountMatMul(c.m, c.k, p, 0, st.mask.locked)
 	}
 	st.q8 = finishMACSlice(dst, st.acc, accScale, c.relu, st.q8)
-}
-
-// ensureInt8s grows s to length n, reusing capacity. Contents are
-// unspecified after a resize.
-func ensureInt8s(s []int8, n int) []int8 {
-	if cap(s) < n {
-		return make([]int8, n) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
-	}
-	return s[:n]
 }

@@ -141,6 +141,77 @@ func TestBindSealsBeforeAnyMAC(t *testing.T) {
 	}
 }
 
+// TestBindSealCoversEveryBuffer: the seal of a bound device guards every
+// buffer of its state, not only the output blocks. It serves every batch up
+// to the bound one, and panics, its memory unchanged, on a run that would
+// grow any buffer: a larger batch, or PredictSample, whose MMU scratch a
+// GEMM Bind never sized. Release lifts the seal, and the device binds the
+// program again and answers as the golden reference does.
+func TestBindSealCoversEveryBuffer(t *testing.T) {
+	const maxBatch = 8
+	forSharedCases(t, 800, maxBatch+1, func(t *testing.T, f *batchFixture, p *Program, x *tensor.Tensor, want []int) {
+		a := bindShards(t, f, p, 1, maxBatch)[0]
+		preds := make([]int, maxBatch+1)
+		check := func(what string, n int) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				if preds[i] != want[i] {
+					t.Fatalf("%s sample %d: class %d, golden %d", what, i, preds[i], want[i])
+				}
+			}
+		}
+		for b := 1; b <= maxBatch; b++ {
+			if err := a.PredictBatchInto(preds, f.model, tensor.FromSlice(x.Data[:b*256], b, 1, 16, 16)); err != nil {
+				t.Fatalf("sealed batch %d: %v", b, err)
+			}
+			check(fmt.Sprintf("sealed batch %d", b), b)
+		}
+		bytes := a.WorkspaceBytes()
+		mustPanic := func(what string, run func() error) {
+			t.Helper()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s on a sealed device did not panic", what)
+					}
+				}()
+				if err := run(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}()
+			if got := a.WorkspaceBytes(); got != bytes {
+				t.Fatalf("%s grew the sealed device from %d to %d bytes", what, bytes, got)
+			}
+		}
+		mustPanic("batch of 9", func() error { return a.PredictBatchInto(preds, f.model, x) })
+		mustPanic("PredictSample", func() error {
+			_, err := a.PredictSample(f.model, tensor.FromSlice(x.Data[:256], 1, 16, 16))
+			return err
+		})
+
+		a.Release()
+		if a.WorkspaceSealed() {
+			t.Fatal("Release left the device sealed")
+		}
+		if err := a.Bind(p, maxBatch); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.PredictBatchInto(preds, f.model, x); err != nil {
+			t.Fatal(err)
+		}
+		check("rebound batch of 9", maxBatch+1)
+		for i := range want {
+			got, err := a.PredictSample(f.model, tensor.FromSlice(x.Data[i*256:(i+1)*256], 1, 16, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want[i] {
+				t.Fatalf("rebound PredictSample %d: class %d, golden %d", i, got, want[i])
+			}
+		}
+	})
+}
+
 // program compiles f's model once for devices built like f.accel's.
 func (f *batchFixture) program(t testing.TB) *Program {
 	t.Helper()

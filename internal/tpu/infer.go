@@ -118,10 +118,7 @@ func (a *Accelerator) stateFor(m *core.Model) (*state, error) {
 }
 
 func (a *Accelerator) newState(p *Program, own bool) *state {
-	s := &state{prog: p, own: own, ws: tensor.NewWorkspace(), ops: make([]opState, p.slots)}
-	if a.sealed {
-		s.ws.Seal()
-	}
+	s := &state{prog: p, own: own, sealed: a.sealed, ops: make([]opState, p.slots)}
 	a.states[p.model] = s
 	return s
 }
@@ -166,20 +163,23 @@ func (a *Accelerator) Bind(p *Program, maxBatch int) error {
 	return err
 }
 
-// Seal freezes the device's workspaces: once every op's buffers have been
-// sized (by Bind, or by a first inference at the largest batch), sealing
-// turns any further buffer growth into a panic, enforcing the steady-state
-// zero-allocation contract. Serving shards seal after Bind; inputs must
-// then keep a batch no larger than the sized one.
+// Seal freezes every buffer of the device's state: once each op's buffers
+// have been sized (by Bind, or by a first run at the largest batch on the
+// same backend), sealing turns any further growth — an output block, the
+// input scratch, a sign mask or the MAC step's integer scratch — into a
+// panic, enforcing the steady-state zero-allocation contract. Serving
+// shards seal after Bind; they must then keep to the bound batch size and
+// the bound backend (a GEMM-bound device has no MMU scratch, so its
+// PredictSample panics).
 func (a *Accelerator) Seal() {
 	a.sealed = true
 	//hpnn:allow(determinism) order-independent
 	for _, s := range a.states {
-		s.ws.Seal()
+		s.sealed = true
 	}
 }
 
-// WorkspaceSealed reports whether Seal has frozen the workspace.
+// WorkspaceSealed reports whether Seal has frozen the device's state.
 func (a *Accelerator) WorkspaceSealed() bool { return a.sealed }
 
 // Release drops every program binding and its state, returning the
@@ -189,9 +189,9 @@ func (a *Accelerator) WorkspaceSealed() bool { return a.sealed }
 // exactly like a fresh accelerator. Not safe to call concurrently with an
 // inference on the same device.
 //
-// Before dropping anything, Release zeroes the device's state for every
-// program — every op's output buffer (the vector unit's included), the
-// input scratch, each op's sign mask and integer scratch — so an evicted
+// Before dropping anything, Release zeroes every buffer of the device's
+// state for every program — each op's output (the vector unit's included),
+// sign mask and integer scratch, and the input scratch — so an evicted
 // tenant leaves neither key bits nor activations behind for the next
 // occupant. A program the device compiled itself is released too
 // (Program.Release: weight codes, the BN fold, a weight-space scheme's
@@ -293,7 +293,7 @@ func (a *Accelerator) PredictBatchInto(preds []int, m *core.Model, x *tensor.Ten
 
 // predictChunk is the batch Predict hands PredictBatchInto at a time —
 // serving's default MaxBatch — so a whole test set never sizes the
-// workspace.
+// device's state.
 const predictChunk = 8
 
 // Predict runs x ([N, C, H, W]) through the model, predictChunk samples

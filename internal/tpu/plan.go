@@ -3,7 +3,6 @@ package tpu
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"hpnn/internal/core"
 	"hpnn/internal/keys"
@@ -32,12 +31,11 @@ import (
 // when the run is on it (PredictSample, GateLevel, Systolic).
 //
 // A compiled model is split in two: the read-only Program (below) and the
-// per-device state, which holds what a run writes — every op's output
-// buffer and the dead-after-return input scratch (a keyed Workspace), and
-// per op the sign mask derived from the device's key bits plus the MAC
-// step's integer scratch. Each op finds its buffers through a key and a
-// slot assigned at compile time, so any number of devices run one Program
-// at once, each on its own state.
+// per-device state, which holds every buffer a run writes. Each op owns one
+// state slot, assigned at compile time, holding its output block, the sign
+// mask derived from the device's key bits and the MAC step's integer
+// scratch; the dead-after-return input scratch is shared by every op. So
+// any number of devices run one Program at once, each on its own state.
 //
 // After the state is sized (lazily by a first batch, or up front by Bind's
 // sizing pass) a steady-state inference reuses every buffer, which is what
@@ -55,14 +53,6 @@ type planOp interface {
 	run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error)
 	opName() string
 }
-
-// Workspace keys of the dead-after-return input scratch, shared by every op
-// of a program on one device.
-const (
-	colKey = "conv.col" // the gathered column matrix, quantized in place
-	imgKey = "conv.img" // stride-1 shortcut: the image's codes
-	inKey  = "dense.in" // the dense input's codes
-)
 
 // Program is a model compiled for the accelerator, read-only once built:
 // the fused ops with their geometry, the (batch-norm folded) weights' int8
@@ -186,18 +176,12 @@ func eachMAC(ops []planOp, fn func(*macCore)) {
 	}
 }
 
-// planCompiler assigns workspace keys and state slots while lowering, and
-// lowers each lock and quantizes each weight once.
+// planCompiler assigns state slots while lowering, and lowers each lock and
+// quantizes each weight once.
 type planCompiler struct {
 	low   lockscheme.Lowering
 	bits  int
-	n     int
 	slots int
-}
-
-func (c *planCompiler) key(kind string) string {
-	c.n++
-	return kind + "#" + strconv.Itoa(c.n)
 }
 
 func (c *planCompiler) slot() int {
@@ -219,13 +203,13 @@ func (c *planCompiler) compile(net *nn.Network) ([]planOp, error) {
 			ops = append(ops, op)
 			i += consumed
 		case *nn.MaxPool:
-			ops = append(ops, &poolOp{geom: l.Geom, outKey: c.key("maxpool"), slot: c.slot()})
+			ops = append(ops, &poolOp{geom: l.Geom, slot: c.slot()})
 		case *nn.GlobalAvgPool:
-			ops = append(ops, &globalPoolOp{outKey: c.key("gap")})
+			ops = append(ops, &globalPoolOp{slot: c.slot()})
 		case *nn.Flatten:
 			ops = append(ops, &flattenOp{slot: c.slot()})
 		case *nn.ReLU:
-			ops = append(ops, &lockReluOp{relu: true, outKey: c.key("relu"), slot: c.slot()})
+			ops = append(ops, &lockReluOp{relu: true, slot: c.slot()})
 		case *nn.Lock:
 			relu := false
 			if i+1 < len(layers) {
@@ -236,12 +220,12 @@ func (c *planCompiler) compile(net *nn.Network) ([]planOp, error) {
 			}
 			ops = append(ops, &lockReluOp{
 				lockID: l.ID, neurons: l.Neurons(), relu: relu,
-				cols: c.low.MACColumns(l.ID, l.Neurons()), outKey: c.key("lockrelu"), slot: c.slot(),
+				cols: c.low.MACColumns(l.ID, l.Neurons()), slot: c.slot(),
 			})
 		case *nn.BatchNorm2D:
 			// Standalone BN (not behind a conv): eval-mode affine on the
 			// vector unit.
-			ops = append(ops, &batchNormOp{bn: l, outKey: c.key("bn")})
+			ops = append(ops, &batchNormOp{bn: l, slot: c.slot()})
 		case *nn.Residual:
 			body, err := c.compile(l.Body)
 			if err != nil {
@@ -257,7 +241,7 @@ func (c *planCompiler) compile(net *nn.Network) ([]planOp, error) {
 			if err != nil {
 				return nil, err
 			}
-			ops = append(ops, &residualOp{body: body, skip: skip, post: post, sumKey: c.key("ressum")})
+			ops = append(ops, &residualOp{body: body, skip: skip, post: post, slot: c.slot()})
 		default:
 			return nil, fmt.Errorf("tpu: layer %s is not supported on the accelerator datapath", layers[i].Name())
 		}
@@ -298,7 +282,7 @@ func (c *planCompiler) fuseMAC(layers []nn.Layer, i int) (planOp, int, error) {
 		w, b := foldBN(mac.W.Value, mac.B.Value, mac.OutC, bn)
 		g := mac.Geom
 		op := &convOp{geom: g, macCore: c.macCore(w, b, mac.OutC, g.ColRows(), g.OutH()*g.OutW(),
-			lockID, relu, bn != nil, "conv.out")}
+			lockID, relu, bn != nil)}
 		if bn != nil {
 			// The folded weights live on only as codes: zero the clone now,
 			// so no plaintext copy outlives the compile.
@@ -310,7 +294,7 @@ func (c *planCompiler) fuseMAC(layers []nn.Layer, i int) (planOp, int, error) {
 			return nil, 0, fmt.Errorf("tpu: BatchNorm2D after Dense is not supported")
 		}
 		return &denseOp{macCore: c.macCore(mac.W.Value, mac.B.Value, mac.Out, mac.In, 1,
-			lockID, relu, false, "dense.out")}, consumed, nil
+			lockID, relu, false)}, consumed, nil
 	default:
 		return nil, 0, fmt.Errorf("tpu: fuseMAC on non-MAC layer %s", layers[i].Name())
 	}
@@ -319,11 +303,11 @@ func (c *planCompiler) fuseMAC(layers []nn.Layer, i int) (planOp, int, error) {
 // macCore builds a MAC op's program side: W[m, k] quantized at the
 // datapath width and widened once for the GEMM, and the lock's column
 // assignment for the op's m·pix outputs per sample.
-func (c *planCompiler) macCore(w, b *tensor.Tensor, m, k, pix int, lockID string, relu, ownsB bool, kind string) macCore {
+func (c *planCompiler) macCore(w, b *tensor.Tensor, m, k, pix int, lockID string, relu, ownsB bool) macCore {
 	mc := macCore{
 		b: b, m: m, k: k, relu: relu, ownsB: ownsB,
 		wCodes: make([]float64, len(w.Data)), w8: make([]int8, len(w.Data)),
-		outKey: c.key(kind), slot: c.slot(),
+		slot: c.slot(),
 	}
 	mc.wScale = quantizeSlice(mc.wCodes, w.Data, c.bits)
 	for i, v := range mc.wCodes {
@@ -359,20 +343,26 @@ func foldBN(w, b *tensor.Tensor, outC int, bn *nn.BatchNorm2D) (*tensor.Tensor, 
 
 // --- per-device state ---------------------------------------------------------
 
-// state is one device's mutable side of a Program: a Workspace holding
-// every op's output buffer and the input scratch, and one opState per slot.
+// state is one device's mutable side of a Program, every buffer a run
+// writes: one opState per slot, and the input scratch every op of the
+// program shares, dead once the op that fills it returns. grow sizes each
+// buffer, so sealing the state freezes all of them at once.
 type state struct {
-	prog *Program
-	own  bool // the device compiled prog itself, so its Release wipes prog too
-	ws   *tensor.Workspace
-	ops  []opState
+	prog   *Program
+	own    bool // the device compiled prog itself, so its Release wipes prog too
+	sealed bool // growing a buffer past its capacity panics
+	ops    []opState
+	col    []float64 // the gathered column matrix, quantized in place
+	img    []float64 // stride-1 shortcut: the image's codes
+	in     []float64 // the dense input's codes
 }
 
-// opState is the per-device scratch of one op: the sign mask built from
-// the device's key bits and the MAC step's integer buffers (conv, dense,
-// lockrelu), the per-sample input scales (dense), the argmax scratch
-// (max pooling) or the reshaped header (flatten).
+// opState is the per-device side of one op: its output block, the sign
+// mask built from the device's key bits and the MAC step's integer buffers
+// (conv, dense, lockrelu), the per-sample input scales (dense), the argmax
+// scratch (max pooling) or the reshaped header (flatten).
 type opState struct {
+	out    tensor.Tensor
 	mask   lockMask
 	bias   []int32
 	acc    []int32
@@ -383,26 +373,50 @@ type opState struct {
 	view   tensor.Tensor
 }
 
-// bytes reports the state's memory: the workspace plus the op scratch.
+// grow returns b resized to n elements, reusing its capacity; contents are
+// unspecified after a resize. Past capacity it allocates, unless s is
+// sealed: a sealed state was sized for every run it may serve, so growing
+// it panics instead.
+func grow[T any](s *state, b []T, n int) []T {
+	if n <= cap(b) {
+		return b[:n]
+	}
+	if s.sealed {
+		panic(fmt.Sprintf("tpu: sealed device state would grow a %d-element buffer to %d", cap(b), n))
+	}
+	return make([]T, n) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
+}
+
+// out returns the output block of the op in slot, resized to shape.
+func (s *state) out(slot int, shape ...int) *tensor.Tensor {
+	t := &s.ops[slot].out
+	t.Data = grow(s, t.Data, tensor.Prod(shape))
+	t.Shape = grow(s, t.Shape, len(shape))
+	copy(t.Shape, shape)
+	return t
+}
+
+// bytes reports the state's memory: every op's output, sign mask and
+// scratch, and the shared input scratch.
 func (s *state) bytes() int {
-	total := s.ws.Bytes()
+	total := 8 * (cap(s.col) + cap(s.img) + cap(s.in))
 	for i := range s.ops {
 		o := &s.ops[i]
-		total += 4*(cap(o.mask.neg)+cap(o.bias)+cap(o.acc)) + cap(o.x8) + cap(o.q8) +
-			8*(cap(o.scales)+cap(o.arg))
+		total += 8*(cap(o.out.Data)+cap(o.scales)+cap(o.arg)) +
+			4*(cap(o.mask.neg)+cap(o.bias)+cap(o.acc)) + cap(o.x8) + cap(o.q8)
 	}
 	return total
 }
 
-// wipe zeroes every buffer of the state — the workspace (outputs of every
-// op, vector unit included, and the input scratch) and each op's sign
-// mask and integer scratch — before dropping it, so no alias still reads
-// an activation or a key bit.
+// wipe zeroes every buffer of the state — every op's output (the vector
+// unit's included), sign mask and integer scratch, and the input scratch —
+// to its full capacity before dropping it, so no alias still reads an
+// activation or a key bit, and lifts the seal.
 func (s *state) wipe() {
-	s.ws.Reset()
 	for i := range s.ops {
 		o := &s.ops[i]
 		o.mask.wipe()
+		clear(o.out.Data[:cap(o.out.Data)])
 		clear(o.bias[:cap(o.bias)])
 		clear(o.acc[:cap(o.acc)])
 		clear(o.x8[:cap(o.x8)])
@@ -411,6 +425,11 @@ func (s *state) wipe() {
 		clear(o.arg[:cap(o.arg)])
 		*o = opState{}
 	}
+	clear(s.col[:cap(s.col)])
+	clear(s.img[:cap(s.img)])
+	clear(s.in[:cap(s.in)])
+	s.col, s.img, s.in = nil, nil, nil
+	s.sealed = false
 }
 
 // --- ops ---------------------------------------------------------------------
@@ -440,8 +459,9 @@ func (o *convOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tens
 		return nil, err
 	}
 	n, pix := act.Shape[0], g.OutH()*g.OutW()
-	out := s.ws.Get(o.outKey, n, o.m, g.OutH(), g.OutW())
-	col := s.ws.Get(colKey, o.k, pix)
+	out := s.out(o.slot, n, o.m, g.OutH(), g.OutW())
+	s.col = grow(s, s.col, o.k*pix)
+	col := s.col
 
 	// With stride 1 every input pixel lands in at least one receptive
 	// field (the gathered offsets ky−Pad … InH+Pad−KH+ky−Pad cover
@@ -453,9 +473,10 @@ func (o *convOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tens
 	// can skip pixels, so they gather first and quantize the columns in
 	// place. The MMU always does the latter, as the hardware would, so the
 	// reference shares nothing with the shortcut.
-	var img *tensor.Tensor
+	var img []float64
 	if g.Stride == 1 && !a.onMMU {
-		img = s.ws.Get(imgKey, g.InLen())
+		s.img = grow(s, s.img, g.InLen())
+		img = s.img
 	}
 	st := o.ready(a, s, pix)
 	if a.sizing {
@@ -468,17 +489,17 @@ func (o *convOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tens
 		src := act.Data[i*in : (i+1)*in]
 		var scale float64
 		if img != nil {
-			scale = quantizeSlice(img.Data, src, a.bits)
-			tensor.Im2ColSlice(col.Data, img.Data, g)
+			scale = quantizeSlice(img, src, a.bits)
+			tensor.Im2ColSlice(col, img, g)
 		} else {
-			tensor.Im2ColSlice(col.Data, src, g)
-			scale = quantizeSlice(col.Data, col.Data, a.bits)
+			tensor.Im2ColSlice(col, src, g)
+			scale = quantizeSlice(col, col, a.bits)
 		}
 		seg := out.Data[i*per : (i+1)*per]
 		if !a.onMMU {
-			tensor.MatMulSliceInto(seg, o.wCodes, col.Data, o.m, o.k, pix)
+			tensor.MatMulSliceInto(seg, o.wCodes, col, o.m, o.k, pix)
 		}
-		o.finish(a, st, seg, col.Data, pix, scale)
+		o.finish(a, st, seg, col, pix, scale)
 	}
 	return out, nil
 }
@@ -498,21 +519,22 @@ func (o *denseOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Ten
 	// Per-sample quantization, then on the GEMM ONE product over the whole
 	// micro-batch: the sample rows' codes times the transposed weight
 	// codes, with the exact sums landing in the output block.
-	x := s.ws.Get(inKey, n, o.k)
-	out := s.ws.Get(o.outKey, n, o.m)
+	s.in = grow(s, s.in, n*o.k)
+	x := s.in
+	out := s.out(o.slot, n, o.m)
 	st := o.ready(a, s, 1)
-	st.scales = tensor.EnsureFloats(st.scales, n)
+	st.scales = grow(s, st.scales, n)
 	if a.sizing {
 		return out, nil
 	}
 	for i := 0; i < n; i++ {
-		st.scales[i] = quantizeSlice(x.Data[i*o.k:(i+1)*o.k], act.Data[i*o.k:(i+1)*o.k], a.bits)
+		st.scales[i] = quantizeSlice(x[i*o.k:(i+1)*o.k], act.Data[i*o.k:(i+1)*o.k], a.bits)
 	}
 	if !a.onMMU {
-		tensor.MatMulNTSliceInto(out.Data, x.Data, o.wCodes, n, o.k, o.m)
+		tensor.MatMulNTSliceInto(out.Data, x, o.wCodes, n, o.k, o.m)
 	}
 	for i := 0; i < n; i++ {
-		o.finish(a, st, out.Data[i*o.m:(i+1)*o.m], x.Data[i*o.k:(i+1)*o.k], 1, st.scales[i])
+		o.finish(a, st, out.Data[i*o.m:(i+1)*o.m], x[i*o.k:(i+1)*o.k], 1, st.scales[i])
 	}
 	return out, nil
 }
@@ -520,9 +542,8 @@ func (o *denseOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Ten
 // poolOp max-pools each sample on the vector unit, into the device state,
 // where Release zeroes it with every other output.
 type poolOp struct {
-	geom   tensor.ConvGeom
-	outKey string
-	slot   int
+	geom tensor.ConvGeom
+	slot int
 }
 
 func (o *poolOp) opName() string { return "maxpool" }
@@ -533,10 +554,10 @@ func (o *poolOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tens
 		return nil, err
 	}
 	n := act.Shape[0]
-	out := s.ws.Get(o.outKey, n, g.InC, g.OutH(), g.OutW())
+	out := s.out(o.slot, n, g.InC, g.OutH(), g.OutW())
 	in, per := g.InLen(), g.InC*g.OutH()*g.OutW()
 	st := &s.ops[o.slot]
-	st.arg = tensor.EnsureInts(st.arg, per)
+	st.arg = grow(s, st.arg, per)
 	if a.sizing {
 		return out, nil
 	}
@@ -548,7 +569,7 @@ func (o *poolOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tens
 
 // globalPoolOp averages each channel's spatial map on the vector unit,
 // [N, C, H, W] → [N, C].
-type globalPoolOp struct{ outKey string }
+type globalPoolOp struct{ slot int }
 
 func (o *globalPoolOp) opName() string { return "gap" }
 
@@ -558,7 +579,7 @@ func (o *globalPoolOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tenso
 		return nil, fmt.Errorf("tpu: global pool input %v is not [N, C, H, W]", act.Shape)
 	}
 	n, c, pix := act.Shape[0], act.Shape[1], act.Shape[2]*act.Shape[3]
-	out := s.ws.Get(o.outKey, n, c)
+	out := s.out(o.slot, n, c)
 	if a.sizing {
 		return out, nil
 	}
@@ -581,7 +602,8 @@ func (o *flattenOp) opName() string { return "flatten" }
 
 func (o *flattenOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.Tensor, error) {
 	v := &s.ops[o.slot].view
-	v.Shape = append(v.Shape[:0], act.Shape[0], tensor.Prod(act.Shape[1:])) //hpnn:allow(noalloc) grow-on-first-use; steady state reuses capacity
+	v.Shape = grow(s, v.Shape, 2)
+	v.Shape[0], v.Shape[1] = act.Shape[0], tensor.Prod(act.Shape[1:])
 	v.Data = act.Data
 	return v, nil
 }
@@ -590,8 +612,8 @@ func (o *flattenOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.T
 // (rare: only when a BN is not preceded by a conv). It reads the executed
 // model's parameters and running statistics.
 type batchNormOp struct {
-	bn     *nn.BatchNorm2D
-	outKey string
+	bn   *nn.BatchNorm2D
+	slot int
 }
 
 func (o *batchNormOp) opName() string { return "batchnorm" }
@@ -602,7 +624,7 @@ func (o *batchNormOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor
 		//hpnn:allow(noalloc) cold error path
 		return nil, fmt.Errorf("tpu: batch-norm over %d channels got %v", b.C, act.Shape)
 	}
-	out := s.ws.Get(o.outKey, act.Shape...)
+	out := s.out(o.slot, act.Shape...)
 	if a.sizing {
 		return out, nil
 	}
@@ -630,9 +652,8 @@ type lockReluOp struct {
 	// cols is the lock's column assignment; nil means the scheme places no
 	// lock on this bus (weight-space schemes protect parameters, not
 	// activations).
-	cols   []int
-	outKey string
-	slot   int
+	cols []int
+	slot int
 }
 
 func (o *lockReluOp) opName() string { return "lockrelu" }
@@ -644,12 +665,12 @@ func (o *lockReluOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.
 			return nil, fmt.Errorf("tpu: lock %s sized %d applied to %d activations per sample", o.lockID, o.neurons, per)
 		}
 	}
-	out := s.ws.Get(o.outKey, act.Shape...)
+	out := s.out(o.slot, act.Shape...)
 	mask := &s.ops[o.slot].mask
 	// On the MMU each key bit comes from the device's column probe, on the
 	// GEMM from the op's cached sign mask.
 	if o.cols != nil && !a.onMMU {
-		mask.refresh(a.mmu, o.cols)
+		mask.refresh(s, a.mmu, o.cols)
 	}
 	if a.sizing {
 		return out, nil
@@ -677,7 +698,7 @@ func (o *lockReluOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.
 // elementwise join on the vector unit, then the post ops.
 type residualOp struct {
 	body, skip, post []planOp
-	sumKey           string
+	slot             int
 }
 
 func (o *residualOp) opName() string { return "residual" }
@@ -697,7 +718,7 @@ func (o *residualOp) run(a *Accelerator, s *state, act *tensor.Tensor) (*tensor.
 		//hpnn:allow(noalloc) cold error path
 		return nil, fmt.Errorf("tpu: residual join mismatch %v vs %v", body.Shape, skip.Shape)
 	}
-	sum := s.ws.Get(o.sumKey, body.Shape...)
+	sum := s.out(o.slot, body.Shape...)
 	if !a.sizing {
 		for i := range sum.Data {
 			sum.Data[i] = body.Data[i] + skip.Data[i]

@@ -168,8 +168,8 @@ func TestPostJoinLockSemantics(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, -2, 3, -4, 5, -6}, 2, 3)
 	for _, onMMU := range []bool{false, true} {
 		a.onMMU = onMMU
-		op := &lockReluOp{lockID: "post", neurons: 3, cols: a.low.MACColumns("post", 3), outKey: "out"}
-		s := &state{ws: tensor.NewWorkspace(), ops: make([]opState, 1)}
+		op := &lockReluOp{lockID: "post", neurons: 3, cols: a.low.MACColumns("post", 3)}
+		s := &state{ops: make([]opState, 1)}
 		out, err := op.run(a, s, x)
 		if err != nil {
 			t.Fatal(err)

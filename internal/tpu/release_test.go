@@ -130,48 +130,18 @@ type aliases struct {
 	idx    [][]int
 }
 
-// addState aliases every buffer of a device's state: each op's output
-// (the vector unit's included), the input scratch the program's ops use
-// (every fixture has a stride-1 conv, so a GEMM run gathers image codes),
-// and each op's sign mask and integer scratch.
+// addState aliases every buffer of a device's state: each slot's output
+// (the vector unit's included), sign mask and integer scratch, and the
+// input scratch the ops share.
 func (al *aliases) addState(s *state) {
-	add := func(key string) {
-		b := s.ws.Get(key, 1).Data
-		al.floats = append(al.floats, b[:cap(b)])
-	}
-	scratch := map[string]bool{}
-	eachOp(s.prog.ops, func(op planOp) {
-		switch o := op.(type) {
-		case *convOp:
-			add(o.outKey)
-			scratch[colKey], scratch[imgKey] = true, true
-		case *denseOp:
-			add(o.outKey)
-			scratch[inKey] = true
-		case *lockReluOp:
-			add(o.outKey)
-		case *residualOp:
-			add(o.sumKey)
-		case *poolOp:
-			add(o.outKey)
-		case *globalPoolOp:
-			add(o.outKey)
-		case *batchNormOp:
-			add(o.outKey)
-		}
-	})
-	for _, key := range []string{colKey, imgKey, inKey} {
-		if scratch[key] {
-			add(key)
-		}
-	}
 	for i := range s.ops {
 		o := &s.ops[i]
+		al.floats = append(al.floats, o.out.Data[:cap(o.out.Data)], o.scales[:cap(o.scales)])
 		al.ints = append(al.ints, o.mask.neg, o.bias[:cap(o.bias)], o.acc[:cap(o.acc)])
 		al.codes = append(al.codes, o.x8[:cap(o.x8)], o.q8[:cap(o.q8)])
-		al.floats = append(al.floats, o.scales[:cap(o.scales)])
 		al.idx = append(al.idx, o.arg[:cap(o.arg)])
 	}
+	al.floats = append(al.floats, s.col[:cap(s.col)], s.img[:cap(s.img)], s.in[:cap(s.in)])
 }
 
 // addProgram aliases everything a program owns: int8 and widened weight
@@ -286,7 +256,7 @@ func assertModelBits(t *testing.T, m *core.Model, before []uint64) {
 // TestReleaseWipesVectorOutputs: every op's last output — the vector
 // unit's pooling, flatten and global-pool results included — reads zero
 // after Release. The vector unit used to run cloned nn layers whose output
-// scratch lived outside the device's workspace, where Release never
+// scratch lived outside the device's state, where Release never
 // reached it.
 func TestReleaseWipesVectorOutputs(t *testing.T) {
 	forReleaseCases(t, 9700, func(t *testing.T, _ string, f *batchFixture, a *Accelerator) {

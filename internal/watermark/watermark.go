@@ -54,10 +54,10 @@ type Mark struct {
 	cfg        Config
 	signature  []byte
 	projection *tensor.Tensor // [Bits, paramLen]
-	// ws holds the projection responses (z) and their gradient (dz):
-	// regularize runs once per optimizer step, so its scratch is arena-
-	// backed rather than reallocated per call.
-	ws *tensor.Workspace
+	// z and dz hold the projection responses and their gradient:
+	// regularize runs once per optimizer step, so its scratch is sized
+	// once rather than reallocated per call.
+	z, dz []float64
 }
 
 // New derives a signature and projection for the given model and config.
@@ -84,18 +84,21 @@ func New(m *core.Model, cfg Config) (*Mark, error) {
 	}
 	proj := tensor.New(cfg.Bits, p.Value.Len())
 	proj.FillNorm(r, 0, 1/math.Sqrt(float64(p.Value.Len())))
-	return &Mark{cfg: cfg, signature: sig, projection: proj, ws: tensor.NewWorkspace()}, nil
+	return &Mark{
+		cfg: cfg, signature: sig, projection: proj,
+		z: make([]float64, cfg.Bits), dz: make([]float64, cfg.Bits),
+	}, nil
 }
 
 // regularize adds λ·∂R/∂w to the carrier tensor's gradient, where
 // R = BCE(σ(X·w), signature), and returns R.
 func (w *Mark) regularize(p *nn.Param) float64 {
-	z := w.ws.MatVec("wm.z", w.projection, p.Value.Data)
+	z, dz := w.z, w.dz
+	tensor.MatVecInto(z, w.projection, p.Value.Data)
 	loss := 0.0
 	bits := float64(len(z))
 	// dR/dz_i = σ(z_i) − b_i (per-bit, not averaged: averaging makes the
 	// embedding force vanish against the task gradient); dR/dw = Xᵀ dR/dz.
-	dz := w.ws.Get("wm.dz", len(z)).Data
 	for i, v := range z {
 		s := 1 / (1 + math.Exp(-v))
 		b := float64(w.signature[i])
@@ -129,7 +132,8 @@ func (w *Mark) Extract(m *core.Model) ([]byte, error) {
 		return nil, fmt.Errorf("watermark: carrier size %d does not match projection %d",
 			p.Value.Len(), w.projection.Shape[1])
 	}
-	z := w.ws.MatVec("wm.z", w.projection, p.Value.Data)
+	z := w.z
+	tensor.MatVecInto(z, w.projection, p.Value.Data)
 	bits := make([]byte, len(z))
 	for i, v := range z {
 		if v > 0 {

@@ -23,11 +23,12 @@ go run ./cmd/hpnn-lint ./...
 go test -race ./internal/tensor/... ./internal/nn/... ./internal/serve/... ./internal/train/...
 # The accelerator's own concurrency surface (shard devices hammering one
 # shared read-only program, the zero-alloc PredictSample golden path), the
-# shard lifecycle (Bind sizes and seals a device before any MAC, and its
-# first batch allocates nothing) and its teardown (Release zeroes key bits,
-# weights and every op output, then the shared program, never the
-# published model) — by name, so the gate skips the tpu package's slow
-# training suites.
+# shard lifecycle (Bind sizes and seals a device before any MAC, its first
+# batch allocates nothing, and the seal refuses any growth of any buffer,
+# a larger batch's or PredictSample's MMU scratch) and its teardown
+# (Release zeroes key bits, weights and every op output, then the shared
+# program, never the published model) — by name, so the gate skips the tpu
+# package's slow training suites.
 go test -race -run 'TestServeConcurrentAccelerators|TestPredictSampleMatchesPredict|TestRelease|TestBind' ./internal/tpu/
 # The serve lifecycle tests (hammer, close-under-load, backpressure,
 # cancellation, buffer reuse after a cancelled Predict, shards sealed
